@@ -213,45 +213,46 @@ def iterated_partial(f: Expr, applications, x) -> Fraction:
     return u.coeffs[0]
 
 
-def taylor_box(f: Expr, x, k) -> DerivTable:
-    """All mixed derivatives over the box {alpha <= k} from one evaluation."""
+def _point_and_orders(x, k):
     x = tuple(x)
     k = as_multiindex(k)
     if len(k) != len(x):
         raise ArityMismatchError(
             f"orders of length {len(k)} do not match point of length {len(x)}"
         )
-    shape = Shape(k)
-    jet = jet_evaluate(f, x, shape)
-    entries = {}
-    for alpha in shape.box():
-        entries[alpha] = multiindex.factorial(alpha) * jet.coeffs[shape.index(alpha)]
-    return DerivTable("box", len(x), k, entries)
+    return x, k
+
+
+def _taylor_table(mode: str, f: Expr, x, k, shape: Shape) -> DerivTable:
+    # One evaluation over the table's own algebra; entry alpha is alpha! times
+    # the d^alpha coefficient, listed in the table's enumeration order.
+    table = DerivTable(mode, len(x), k, {})
+    coeffs = jet_evaluate(f, x, shape).coeffs
+    for alpha in table.enumeration():
+        table.entries[alpha] = multiindex.factorial(alpha) * coeffs[shape.index(alpha)]
+    return table
+
+
+def taylor_box(f: Expr, x, k) -> DerivTable:
+    """All mixed derivatives over the box {alpha <= k} from one evaluation."""
+    x, k = _point_and_orders(x, k)
+    return _taylor_table("box", f, x, k, Shape(k))
 
 
 def taylor_simplex(f: Expr, x, k) -> DerivTable:
-    """Mixed derivatives over the simplex {|alpha| <= |k|}.
+    """Mixed derivatives over the simplex {|alpha| <= |k|} from one evaluation.
 
-    Indices inside the box come from the single box evaluation; indices with
-    some alpha_i > k_i are computed at their own enlarged shape. The latter
-    multiply vanishing monomials on the original neighborhood, so reporting
-    them costs nothing in the expansion identity but makes the truncation
-    of the full series inspectable.
+    The evaluation runs in the total-degree algebra ``Shape.simplex(n, |k|)``,
+    so every entry, including those with some alpha_i > k_i, is alpha! times
+    a coefficient of the same jet. The entries outside the box multiply
+    vanishing monomials on the neighborhood of orders k, so reporting them
+    costs nothing in the expansion identity but makes the truncation of the
+    full series inspectable. That algebra holds (|k|+1)^n slots per element,
+    so a wide request breaks ``weil.SLOT_BUDGET`` and raises
+    ``CoefficientBudgetError`` before evaluating.
     """
-    x = tuple(x)
-    k = as_multiindex(k)
-    if len(k) != len(x):
-        raise ArityMismatchError(
-            f"orders of length {len(k)} do not match point of length {len(x)}"
-        )
-    box = taylor_box(f, x, k)
-    entries = {}
-    for alpha in enumerate_simplex(len(x), multiindex.norm(k)):
-        if multiindex.leq(alpha, k):
-            entries[alpha] = box.entries[alpha]
-        else:
-            entries[alpha] = mixed_derivative(f, alpha, x)
-    return DerivTable("simplex", len(x), k, entries)
+    x, k = _point_and_orders(x, k)
+    return _taylor_table("simplex", f, x, k, Shape.simplex(len(x), multiindex.norm(k)))
 
 
 def taylor_squarefree(f: Expr, x) -> dict:
@@ -288,7 +289,10 @@ def expand_sum_of_D(f: Expr, x, m: int):
         delta = delta + generator(shape, i)
     x = Fraction(x)
     lhs = evaluate(f, [constant(shape, x) + delta], lift=lambda c: constant(shape, c))
-    values = [nth_derivative(f, n, x) for n in range(m + 1)]
+    # f^(n)(x) = n! times the d^n coefficient of one jet over d^(m+1) = 0;
+    # the check below compares it with the m square-zero generators above.
+    jet = jet_evaluate(f, (x,), Shape((m,)))
+    values = [math.factorial(n) * jet.coefficient((n,)) for n in range(m + 1)]
     rhs = zero(shape)
     power = None
     for n, value in enumerate(values):
@@ -304,7 +308,7 @@ def expand_sum_of_D(f: Expr, x, m: int):
 def taylor_sum(table: DerivTable, shape: Shape) -> WeilElement:
     """Reconstruct sum_alpha value(alpha) d^alpha / alpha! inside ``shape``.
 
-    Indices outside the shape's box contribute the zero monomial, so a
+    Indices that are not live monomials of the shape contribute zero, so a
     simplex table reconstructs to the same element as its box part.
     """
     acc = zero(shape)

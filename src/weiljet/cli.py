@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -103,9 +104,12 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     out = []
     for part in text.split(","):
         try:
-            out.append(float(part.strip()))
+            value = float(part.strip())
         except ValueError:
             raise UsageError(f"{flag}: {part.strip()!r} is not a float") from None
+        if not math.isfinite(value):
+            raise UsageError(f"{flag}: {part.strip()!r} is not a finite float")
+        out.append(value)
     return tuple(out)
 
 
@@ -177,6 +181,8 @@ def _cmd_check(args) -> RunReport:
         raise UsageError(
             f"unknown suite {args.suite!r}; known: all, {', '.join(suite_names())}"
         )
+    if args.instances < 0:
+        raise UsageError(f"--instances must be a natural number, got {args.instances}")
     config = SuiteConfig(instances=args.instances, seed=seed)
     try:
         results = run_suites(names, config)
@@ -202,6 +208,8 @@ def _cmd_check(args) -> RunReport:
 
 
 def _cmd_fd_check(args) -> RunReport:
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise UsageError(f"--h must be a positive finite step, got {args.h!r}")
     expr = parse(args.expr)
     at = _parse_float_list(args.at, "--at")
     if not 0 <= args.wrt < len(at):

@@ -529,6 +529,7 @@ def _simplex_expansion(rng: random.Random) -> Optional[str]:
     f, x, k = _box_instance(rng)
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)
+    # The two tables come from two algebras: the total-degree-|k| one and the box.
     table = taylor_simplex(f, x, k)
     box_table = taylor_box(f, x, k)
     for alpha in box_table.entries:

@@ -7,11 +7,25 @@ coordinate. An element is a jet: a scalar value plus nilpotent corrections.
 The generators d_i model first-class infinitesimals; d_i is an m-nilpotent
 (d_i^(m+1) = 0) exactly when m >= k_i.
 
+A shape may also carry a total-degree cap N, which drops every monomial with
+|alpha| > N as well: ``Shape.simplex(n, N)`` is the algebra of the simplex
+{|alpha| <= N}, the degree-N multivariate Taylor arithmetic. The box and the
+simplex are thus two truncations of one class.
+
 Coefficients are ``fractions.Fraction`` throughout, so every identity the
 package checks is an exact equality, never an approximation. Coefficients
 are stored densely in ``enumerate_box`` order (mixed-radix position
 ``sum_i alpha_i * prod_{j<i} (k_j + 1)``); shapes stay small in practice,
-and density keeps indexing trivial and output reproducible.
+and density keeps indexing trivial and output reproducible. A capped shape
+keeps this layout over its orders, with the slots above the cap always zero,
+so ``Shape.simplex(n, N)`` allocates (N+1)^n slots for its C(N+n, n) live
+monomials; the ring operations compute only the live ones.
+
+Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
+larger one raises ``CoefficientBudgetError`` before anything is allocated.
+No box over the budget is computable anyway (its multiplication plan has
+more than size^1.58 pairs), so the budget only turns away requests that
+would otherwise exhaust memory, such as a simplex in 8 or more variables.
 
 Arithmetic between elements of different shapes is an error. Callers embed
 scalars explicitly via ``constant``; the only implicit coercion is scalar
@@ -21,9 +35,11 @@ structure rather than a change of carrier.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from . import multiindex
 from .errors import WeiljetError
@@ -48,24 +64,77 @@ class NonInvertibleError(WeiljetError):
 
 
 class CoefficientIndexError(WeiljetError):
-    """Coefficient requested at a multi-index outside the shape's box."""
+    """Coefficient requested at a multi-index outside the shape's monomials."""
+
+
+class CoefficientBudgetError(WeiljetError):
+    """A shape would hold more than ``SLOT_BUDGET`` coefficient slots."""
+
+
+# Coefficient slots per element (16 MiB of pointers); 8^7, so a simplex in
+# 7 variables at total degree 7 still fits.
+SLOT_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
 class Shape:
-    """Truncation orders k, one per generator; k_i = 0 kills d_i entirely."""
+    """Truncation orders k, one per generator (k_i = 0 kills d_i entirely),
+    and an optional total-degree cap that also kills every d^alpha with
+    |alpha| > degree.
+
+    The cap normalises: an order above it is lowered to it, and a cap of
+    |k| or more drops nothing, so it becomes no cap. ``Shape(k)`` is the box.
+    """
 
     orders: MultiIndex
+    degree: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", as_multiindex(self.orders))
+        orders = as_multiindex(self.orders)
+        degree = self.degree
+        if degree is not None:
+            degree = operator.index(degree)
+            if degree < 0:
+                raise ValueError(f"total-degree cap must be a natural, got {degree}")
+            orders = tuple(min(k, degree) for k in orders)
+            if degree >= sum(orders):
+                degree = None
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "degree", degree)
+        if self.size() > SLOT_BUDGET:
+            raise CoefficientBudgetError(
+                f"shape {self} needs {self.size()} coefficient slots, "
+                f"over the budget of {SLOT_BUDGET}"
+            )
+
+    @classmethod
+    def simplex(cls, n: int, bound: int) -> "Shape":
+        """The total-degree truncation {|alpha| <= bound} in n generators."""
+        return cls((bound,) * n, degree=bound)
 
     @property
     def arity(self) -> int:
         return len(self.orders)
 
     def box(self) -> tuple[MultiIndex, ...]:
+        """Every slot of the dense layout, live or not, in layout order."""
         return enumerate_box(self.orders)
+
+    def monomials(self) -> tuple[MultiIndex, ...]:
+        """The live monomials (those under the cap), in layout order."""
+        return _live(self.orders, self.degree)[0]
+
+    def live_slots(self):
+        """Layout positions of ``monomials()``."""
+        return _live(self.orders, self.degree)[1]
+
+    def contains(self, alpha: MultiIndex) -> bool:
+        """Whether d^alpha is a live monomial of this shape."""
+        return (
+            len(alpha) == len(self.orders)
+            and multiindex.leq(alpha, self.orders)
+            and (self.degree is None or sum(alpha) <= self.degree)
+        )
 
     def size(self) -> int:
         out = 1
@@ -78,27 +147,90 @@ class Shape:
 
     def nilpotency_bound(self) -> int:
         # Any element with zero constant term is killed by this power plus one.
-        return sum(self.orders)
+        return sum(self.orders) if self.degree is None else self.degree
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(k) for k in self.orders) + ")"
+        box = "(" + ",".join(str(k) for k in self.orders) + ")"
+        return box if self.degree is None else f"{box} deg<={self.degree}"
+
+
+def _strides(orders: MultiIndex) -> list[int]:
+    """Layout stride of each coordinate: prod_{j<i} (k_j + 1)."""
+    out = []
+    stride = 1
+    for k in orders:
+        out.append(stride)
+        stride *= k + 1
+    return out
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(orders: MultiIndex):
-    """For each box position p, the (q, r) pairs with box[p] + box[q] = box[r]."""
-    box = enumerate_box(orders)
-    pos = {alpha: i for i, alpha in enumerate(box)}
+def _live(orders: MultiIndex, degree: Optional[int]):
+    """(live monomials, their layout positions) for a shape's truncation."""
+    if degree is None:
+        box = enumerate_box(orders)
+        return box, range(len(box))
+    # Grown from the most significant coordinate, so positions ascend; the
+    # dense box above the cap is never enumerated.
+    cells = [((), 0, 0)]  # (alpha suffix, position, |alpha suffix|)
+    for k, stride in reversed(tuple(zip(orders, _strides(orders)))):
+        cells = [
+            ((b,) + alpha, p + b * stride, d + b)
+            for alpha, p, d in cells
+            for b in range(min(k, degree - d) + 1)
+        ]
+    return tuple(alpha for alpha, _, _ in cells), tuple(p for _, p, _ in cells)
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
+    """For each live position p, the pair (p, pairs) listing the (q, r) with
+    slot[p] + slot[q] = slot[r] live.
+
+    Built per coordinate in O(pairs): positions are mixed-radix, so
+    idx(alpha + beta) = idx(alpha) + idx(beta) whenever the sum stays in the
+    box, and r = p + q. For slot[p] = alpha, q runs over the positions of
+    {beta <= k - alpha, |beta| <= cap - |alpha|}, ascending. That set depends
+    on alpha only through its limits and degree room, and it is the union over
+    the last coordinate's value b of a smaller such set shifted by b times
+    that coordinate's stride, so each set is built once from shared parts.
+    """
+    strides = _strides(orders)
+    memo: dict = {}
+
+    def positions(limits: MultiIndex, room: int) -> list:
+        room = min(room, sum(limits))
+        key = (limits, room)
+        out = memo.get(key)
+        if out is None:
+            if not limits:
+                out = [0]
+            else:
+                s, head = strides[len(limits) - 1], limits[:-1]
+                out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in positions(head, room - b)]
+            memo[key] = out
+        return out
+
+    cap = sum(orders) if degree is None else degree
+    monomials, slots = _live(orders, degree)
     plan = []
-    for alpha in box:
-        pairs = []
-        for q, beta in enumerate(box):
-            gamma = tuple(a + b for a, b in zip(alpha, beta))
-            r = pos.get(gamma)
-            if r is not None:
-                pairs.append((q, r))
-        plan.append(tuple(pairs))
+    for p, alpha in zip(slots, monomials):
+        qs = positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))
+        plan.append((p, tuple(zip(qs, map(p.__add__, qs)))))
     return tuple(plan)
+
+
+def _slotwise(shape: Shape, op, *columns) -> tuple:
+    """``op`` applied slot by slot. On a capped shape only the live slots are
+    computed: a Fraction op costs about as much on a zero as on any other
+    value, and a simplex shape has far more dead slots than live ones."""
+    if shape.degree is None:
+        return tuple(map(op, *columns))
+    out = [_ZERO] * shape.size()
+    live = shape.live_slots()
+    for p, c in zip(live, map(op, *([col[p] for p in live] for col in columns))):
+        out[p] = c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -117,34 +249,35 @@ class WeilElement:
         if not isinstance(other, WeilElement):
             return NotImplemented
         self._require_same_shape(other)
-        return WeilElement(self.shape, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return WeilElement(self.shape, _slotwise(self.shape, operator.add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
         self._require_same_shape(other)
-        return WeilElement(self.shape, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return WeilElement(self.shape, _slotwise(self.shape, operator.sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return WeilElement(self.shape, tuple(-a for a in self.coeffs))
+        return WeilElement(self.shape, _slotwise(self.shape, operator.neg, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, WeilElement):
             self._require_same_shape(other)
-            plan = _mul_plan(self.shape.orders)
-            out = [_ZERO] * len(self.coeffs)
+            a = self.coeffs
             b = other.coeffs
-            for p, ca in enumerate(self.coeffs):
+            out = [_ZERO] * len(a)
+            for p, pairs in _mul_plan(self.shape.orders, self.shape.degree):
+                ca = a[p]
                 if not ca:
                     continue
-                for q, r in plan[p]:
+                for q, r in pairs:
                     cb = b[q]
                     if cb:
                         out[r] += ca * cb
             return WeilElement(self.shape, tuple(out))
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return WeilElement(self.shape, tuple(a * c for a in self.coeffs))
+            return WeilElement(self.shape, _slotwise(self.shape, c.__mul__, self.coeffs))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -180,9 +313,8 @@ class WeilElement:
     def coefficient(self, alpha) -> Fraction:
         """Coefficient at alpha; the unique polynomial decomposition weights."""
         alpha = as_multiindex(alpha)
-        k = self.shape.orders
-        if len(alpha) != len(k) or not multiindex.leq(alpha, k):
-            raise CoefficientIndexError(f"index {alpha} outside box of shape {self.shape}")
+        if not self.shape.contains(alpha):
+            raise CoefficientIndexError(f"index {alpha} outside shape {self.shape}")
         return self.coeffs[self.shape.index(alpha)]
 
     def is_in_Dm(self, m: int) -> bool:
@@ -243,7 +375,8 @@ def constant(shape: Shape, c) -> WeilElement:
 
 
 def generator(shape: Shape, i: int) -> WeilElement:
-    """The i-th infinitesimal generator d_i (requires k_i >= 1)."""
+    """The i-th infinitesimal generator d_i (requires k_i >= 1; a cap is at
+    least k_i after normalisation, so it never kills d_i)."""
     if not 0 <= i < shape.arity:
         raise multiindex.ArityMismatchError(
             f"generator index {i} out of range for shape {shape}"
@@ -259,13 +392,13 @@ def generator(shape: Shape, i: int) -> WeilElement:
 
 
 def monomial(shape: Shape, alpha) -> WeilElement:
-    """The basis element d^alpha, or zero when alpha exceeds the box."""
+    """The basis element d^alpha, or zero when alpha is not a live monomial."""
     alpha = as_multiindex(alpha)
     if len(alpha) != shape.arity:
         raise multiindex.ArityMismatchError(
             f"monomial exponent {alpha} has wrong length for shape {shape}"
         )
-    if not multiindex.leq(alpha, shape.orders):
+    if not shape.contains(alpha):
         return zero(shape)
     coeffs = [_ZERO] * shape.size()
     coeffs[shape.index(alpha)] = _ONE
@@ -277,8 +410,8 @@ def from_coefficients(shape: Shape, entries) -> WeilElement:
     coeffs = [_ZERO] * shape.size()
     for alpha, c in dict(entries).items():
         alpha = as_multiindex(alpha)
-        if len(alpha) != shape.arity or not multiindex.leq(alpha, shape.orders):
-            raise CoefficientIndexError(f"index {alpha} outside box of shape {shape}")
+        if not shape.contains(alpha):
+            raise CoefficientIndexError(f"index {alpha} outside shape {shape}")
         coeffs[shape.index(alpha)] = Fraction(c)
     return WeilElement(shape, tuple(coeffs))
 
@@ -289,18 +422,17 @@ def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
 
     For power = 1 this is first-order coefficient extraction with the
     remaining generators kept live, which is how iterated derivatives are
-    peeled off one application at a time.
+    peeled off one application at a time. A cap N on ``a`` becomes the cap
+    N - power on the result.
     """
     k = a.shape.orders
     if not 0 <= i < len(k):
         raise multiindex.ArityMismatchError(f"generator index {i} out of range for shape {a.shape}")
     if power > k[i]:
         raise CoefficientIndexError(f"power {power} exceeds order {k[i]} of generator {i}")
-    reduced = Shape(k[:i] + k[i + 1 :])
-    coeffs = [_ZERO] * reduced.size()
-    for beta in reduced.box():
-        full = beta[:i] + (power,) + beta[i:]
-        coeffs[reduced.index(beta)] = a.coeffs[a.shape.index(full)]
+    degree = a.shape.degree
+    reduced = Shape(k[:i] + k[i + 1 :], None if degree is None else degree - power)
+    coeffs = [a.coeffs[a.shape.index(beta[:i] + (power,) + beta[i:])] for beta in reduced.box()]
     return WeilElement(reduced, tuple(coeffs))
 
 
@@ -313,15 +445,20 @@ def rational_from_json(obj) -> Fraction:
 
 
 def element_to_json(a: WeilElement) -> dict:
-    """JSON form: orders plus nonzero coefficients in box order."""
+    """JSON form: orders, the cap of a capped shape, and the nonzero
+    coefficients in layout order."""
     coeffs = []
     for alpha, c in zip(a.shape.box(), a.coeffs):
         if c:
             coeffs.append({"alpha": list(alpha), "num": str(c.numerator), "den": str(c.denominator)})
-    return {"orders": list(a.shape.orders), "coeffs": coeffs}
+    doc = {"orders": list(a.shape.orders)}
+    if a.shape.degree is not None:
+        doc["degree"] = a.shape.degree
+    doc["coeffs"] = coeffs
+    return doc
 
 
 def element_from_json(obj) -> WeilElement:
-    shape = Shape(tuple(obj["orders"]))
+    shape = Shape(tuple(obj["orders"]), obj.get("degree"))
     entries = {tuple(item["alpha"]): Fraction(int(item["num"]), int(item["den"])) for item in obj["coeffs"]}
     return from_coefficients(shape, entries)

@@ -22,8 +22,8 @@ from weiljet.calculus import (
     taylor_squarefree,
     taylor_sum,
 )
-from weiljet.expression import EvaluationError, parse
-from weiljet.multiindex import ArityMismatchError
+from weiljet.expression import Add, Const, Div, EvaluationError, Mul, Pow, Var, parse
+from weiljet.multiindex import ArityMismatchError, enumerate_simplex, norm
 from weiljet.oracle import oracle_mixed
 from weiljet.suites import random_expr, random_point, random_rational
 from weiljet.weil import Shape, constant, from_coefficients, generator
@@ -300,6 +300,41 @@ def test_simplex_identity_restricted_to_neighborhood():
         shape = Shape(k)
         table = taylor_simplex(f, x, k)
         assert taylor_sum(table, shape) == jet_evaluate(f, x, shape)
+
+
+def test_taylor_simplex_equals_per_alpha_mixed_derivatives():
+    # The simplex table is one evaluation in the total-degree algebra; its
+    # definition is one mixed derivative per alpha, each at its own box shape.
+    rng = random.Random("calculus:simplex-definition")
+    for trial in range(40):
+        n = trial % 5
+        p = random_expr(rng, n, 3 if n > 2 else 4)
+        if n:
+            # A cube of all the variables keeps mixed entries up to degree 3 live.
+            total = Var(0)
+            for i in range(1, n):
+                total = Add(total, Var(i))
+            p = Add(p, Mul(Const(random_rational(rng)), Pow(total, 3)))
+        quotient = trial % 3 == 0
+        f = Div(p, Add(Const(Fraction(1)), Pow(random_expr(rng, n, 2), 2))) if quotient else p
+        x = random_point(rng, n)
+        k = tuple(rng.randint(0, 1 if n > 2 else 2) for _ in range(n))
+        table = taylor_simplex(f, x, k)
+        alphas = enumerate_simplex(n, norm(k))
+        assert tuple(table.entries) == alphas
+        for alpha in alphas:
+            assert table.entries[alpha] == mixed_derivative(f, alpha, x)
+            if not quotient:
+                assert table.entries[alpha] == oracle_mixed(f, alpha, x)
+
+
+def test_expand_sum_of_D_matches_nth_derivative():
+    rng = random.Random("calculus:sum-of-D")
+    for _ in range(20):
+        f = random_expr(rng, 1, 4)
+        x = random_rational(rng)
+        m = rng.randint(0, 4)
+        assert expand_sum_of_D(f, x, m) == tuple(nth_derivative(f, n, x) for n in range(m + 1))
 
 
 def test_jet_derivatives_agree_with_symbolic_oracle():

@@ -195,3 +195,40 @@ def test_parse_error_reports_position(capsys):
     code, _, err = run_cli(["derive", "--expr", "x0^", "--at", "1", "--alpha", "1"], capsys)
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize("h", ["0", "-1e-3", "-0.0", "nan", "inf", "-inf"])
+def test_fd_check_rejects_a_bad_step(capsys, h):
+    code, out, err = run_cli(["fd-check", "--expr", "x0^3", "--at", "2", "--wrt", "0", f"--h={h}"], capsys)
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--h" in err
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1,nan"])
+def test_fd_check_rejects_a_non_finite_point(capsys, at):
+    code, out, err = run_cli(["fd-check", "--expr", "x0*x1", f"--at={at}", "--wrt", "0"], capsys)
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--at" in err
+
+
+def test_check_rejects_negative_instances(capsys):
+    code, out, err = run_cli(["check", "--suite", "lemma-3.1.2", "--instances", "-3"], capsys)
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--instances" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "simplex", "--expr", "x0*x1*x2*x3*x4*x5*x6*x7", "--at", "1,1,1,1,1,1,1,1", "--orders", "1,1,1,1,1,1,1,1"],
+        ["--expr", "x0*x1*x2", "--at", "1,2,3", "--orders", "2000,2000,2000"],
+    ],
+)
+def test_taylor_over_the_slot_budget_fails_cleanly(capsys, argv):
+    code, out, err = run_cli(["taylor", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "over the budget" in err

@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 
 from weiljet.multiindex import ArityMismatchError, enumerate_box
 from weiljet.weil import (
+    SLOT_BUDGET,
+    CoefficientBudgetError,
     CoefficientIndexError,
     DegenerateGeneratorError,
     NonInvertibleError,
     Shape,
     ShapeMismatchError,
     WeilElement,
+    _mul_plan,
     constant,
     element_from_json,
     element_to_json,
@@ -253,3 +258,147 @@ def test_exhaustive_nilpotency_ladder_small_shapes():
         if levels:
             first = levels[0]
             assert levels == list(range(first, 6))
+
+
+# -- Total-degree caps ----------------------------------------------------------
+
+
+def _random_capped_shape(rng: random.Random) -> Shape:
+    orders = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+    if rng.random() < 0.3:
+        return Shape(orders)
+    return Shape(orders, rng.randint(0, sum(orders)))
+
+
+def _live_positions(shape: Shape) -> list:
+    return [p for p, alpha in enumerate(shape.box()) if shape.contains(alpha)]
+
+
+def _random_element(rng: random.Random, shape: Shape, constant_term=None) -> WeilElement:
+    coeffs = [Fraction(0)] * shape.size()
+    for p in _live_positions(shape):
+        if rng.random() < 0.7:
+            coeffs[p] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if constant_term is not None:
+        coeffs[0] = Fraction(constant_term)
+    return WeilElement(shape, tuple(coeffs))
+
+
+def _drop_above_cap(a: WeilElement, capped: Shape) -> WeilElement:
+    # Same dense layout; zero every slot whose monomial exceeds the cap.
+    live = set(_live_positions(capped))
+    return WeilElement(capped, tuple(c if p in live else Fraction(0) for p, c in enumerate(a.coeffs)))
+
+
+def test_shape_cap_normalises():
+    assert Shape((2, 1), 3) == Shape((2, 1))
+    assert Shape((2, 1), 7).degree is None
+    assert Shape.simplex(1, 4) == Shape((4,))
+    assert Shape.simplex(0, 3) == Shape(())
+    assert Shape.simplex(3, 0) == Shape((0, 0, 0))
+    assert Shape((5, 1), 2) == Shape((2, 1), 2)
+    s = Shape.simplex(3, 2)
+    assert s.orders == (2, 2, 2) and s.degree == 2
+    assert s.size() == 27 and len(s.monomials()) == 10
+    assert s.nilpotency_bound() == 2
+    assert str(s) == "(2,2,2) deg<=2"
+    assert str(Shape((2, 1))) == "(2,1)"
+    with pytest.raises(ValueError):
+        Shape((1, 1), -1)
+
+
+def test_capped_shape_respects_the_cap():
+    s = Shape.simplex(2, 2)
+    assert monomial(s, (1, 1)).coefficient((1, 1)) == 1
+    assert monomial(s, (2, 1)).is_zero()
+    with pytest.raises(CoefficientIndexError):
+        one(s).coefficient((2, 1))
+    with pytest.raises(CoefficientIndexError):
+        from_coefficients(s, {(1, 2): 1})
+    d0, d1 = generator(s, 0), generator(s, 1)
+    assert (d0 * d1 * d0).is_zero() and not (d0 * d0).is_zero()
+    assert (d0 + d1).is_in_Dm(2) and not (d0 + d1).is_in_Dm(1)
+    assert str((one(s) + d0 + d1) ** 2) == "1 + 2*d0 + d0^2 + 2*d1 + 2*d0*d1 + d1^2"
+
+
+def test_mul_plan_matches_brute_force_pairs():
+    rng = random.Random("weil:plan")
+    for _ in range(150):
+        shape = _random_capped_shape(rng)
+        cap = sum(shape.orders) if shape.degree is None else shape.degree
+        box = shape.box()
+        pos = {alpha: r for r, alpha in enumerate(box)}
+        live = [p for p, alpha in enumerate(box) if sum(alpha) <= cap]
+        expected = {}
+        for p in live:
+            pairs = expected[p] = set()
+            for q, beta in enumerate(box):
+                gamma = tuple(a + b for a, b in zip(box[p], beta))
+                if gamma in pos and sum(gamma) <= cap:
+                    pairs.add((q, pos[gamma]))
+        plan = _mul_plan(shape.orders, shape.degree)
+        assert [p for p, _ in plan] == live
+        assert {p: set(pairs) for p, pairs in plan} == expected
+
+
+def test_capped_ops_equal_box_ops_then_truncation():
+    rng = random.Random("weil:capped-ops")
+    for _ in range(120):
+        orders = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        if sum(orders) < 2:
+            continue
+        capped = Shape(orders, rng.randint(1, sum(orders) - 1))
+        box = Shape(capped.orders)
+        a = _random_element(rng, capped, constant_term=rng.choice((0, 1, Fraction(-3, 2))))
+        b = _random_element(rng, capped)
+        a_box, b_box = WeilElement(box, a.coeffs), WeilElement(box, b.coeffs)
+        assert a * b == _drop_above_cap(a_box * b_box, capped)
+        assert a + b == _drop_above_cap(a_box + b_box, capped)
+        assert a - b * 3 == _drop_above_cap(a_box - b_box * 3, capped)
+        e = rng.randint(0, 4)
+        assert a**e == _drop_above_cap(a_box**e, capped)
+        if a.constant_term():
+            assert a.invert() == _drop_above_cap(a_box.invert(), capped)
+            assert a * a.invert() == one(capped)
+        eps = a - constant(capped, a.constant_term())
+        for m in range(capped.nilpotency_bound() + 1):
+            assert eps.is_in_Dm(m) == _drop_above_cap(WeilElement(box, eps.coeffs) ** (m + 1), capped).is_zero()
+        assert eps.is_in_Dm(capped.nilpotency_bound())
+
+
+def test_capped_json_roundtrip():
+    rng = random.Random("weil:capped-json")
+    for _ in range(60):
+        shape = _random_capped_shape(rng)
+        a = _random_element(rng, shape)
+        doc = element_to_json(a)
+        assert ("degree" in doc) == (shape.degree is not None)
+        assert element_from_json(doc) == a
+    doc = element_to_json(generator(Shape.simplex(2, 1), 1))
+    assert doc == {"orders": [1, 1], "degree": 1, "coeffs": [{"alpha": [0, 1], "num": "1", "den": "1"}]}
+
+
+def test_slice_coefficient_lowers_the_cap():
+    s = Shape.simplex(3, 3)
+    a = (one(s) + generator(s, 0) + generator(s, 1) * 2 + generator(s, 2)) ** 3
+    linear = slice_coefficient(a, 1, 1)
+    assert linear.shape == Shape.simplex(2, 2)
+    uncapped = slice_coefficient(WeilElement(Shape(s.orders), a.coeffs), 1, 1)
+    for beta in linear.shape.monomials():
+        assert linear.coefficient(beta) == uncapped.coefficient(beta)
+    assert linear.coefficient((0, 0)) == 6 and linear.coefficient((1, 1)) == 12
+    assert slice_coefficient(a, 0, 3).shape == Shape((0, 0))
+
+
+def test_shapes_over_the_slot_budget_are_refused_before_allocating():
+    assert Shape((1,) * 21).size() == SLOT_BUDGET
+    assert Shape.simplex(7, 7).size() == SLOT_BUDGET
+    tracemalloc.start()
+    try:
+        for make in (lambda: Shape((1,) * 22), lambda: Shape.simplex(8, 8), lambda: Shape((2000, 2000, 2000))):
+            with pytest.raises(CoefficientBudgetError, match="over the budget"):
+                make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
