@@ -210,7 +210,7 @@ def iterated_partial(f: Expr, applications, x) -> Fraction:
         pos = remaining.index(t)
         u = slice_coefficient(u, pos, 1)
         remaining.pop(pos)
-    return u.coeffs[0]
+    return u.constant_term()
 
 
 def _point_and_orders(x, k):
@@ -227,9 +227,9 @@ def _taylor_table(mode: str, f: Expr, x, k, shape: Shape) -> DerivTable:
     # One evaluation over the table's own algebra; entry alpha is alpha! times
     # the d^alpha coefficient, listed in the table's enumeration order.
     table = DerivTable(mode, len(x), k, {})
-    coeffs = jet_evaluate(f, x, shape).coeffs
+    jet = jet_evaluate(f, x, shape)
     for alpha in table.enumeration():
-        table.entries[alpha] = multiindex.factorial(alpha) * coeffs[shape.index(alpha)]
+        table.entries[alpha] = multiindex.factorial(alpha) * jet.coefficient(alpha)
     return table
 
 
@@ -269,7 +269,7 @@ def taylor_squarefree(f: Expr, x) -> dict:
     out = {}
     for alpha in shape.box():
         subset = frozenset(i for i, e in enumerate(alpha) if e)
-        out[subset] = jet.coeffs[shape.index(alpha)]
+        out[subset] = jet.coefficient(alpha)
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
-from .errors import WeiljetError
+from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
 from .oracle import finite_difference
 from .suites import SuiteConfig, UnknownSuiteError, run_suites, suite_names
@@ -68,10 +68,6 @@ class RunReport:
             "seed": self.seed,
             "result": self.result,
         }
-
-
-def _format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
 def _parse_rational_list(text: str, flag: str) -> tuple[Fraction, ...]:
@@ -143,7 +139,7 @@ def _cmd_taylor(args) -> RunReport:
     ]
     for alpha in table.enumeration():
         key = "(" + ",".join(str(a) for a in alpha) + ")"
-        lines.append(f"{key}  {_format_rational(table.entries[alpha])}")
+        lines.append(f"{key}  {table.entries[alpha]}")
     return RunReport(
         command="taylor",
         inputs={"expr": args.expr, "at": args.at, "orders": args.orders, "mode": args.mode},
@@ -167,7 +163,7 @@ def _cmd_derive(args) -> RunReport:
         inputs={"expr": args.expr, "at": args.at, "alpha": args.alpha},
         result={"value": rational_to_json(value)},
         seed=_default_seed(None),
-        table_lines=[_format_rational(value)],
+        table_lines=[str(value)],
     )
 
 
@@ -221,7 +217,7 @@ def _cmd_fd_check(args) -> RunReport:
     rel_gap = abs_gap / max(1.0, abs(exact_float))
     ok = rel_gap <= args.rtol
     lines = [
-        f"exact: {_format_rational(exact)} ({exact_float!r})",
+        f"exact: {exact} ({exact_float!r})",
         f"finite difference (h={args.h!r}): {fd!r}",
         f"absolute gap: {abs_gap!r}",
         f"relative gap: {rel_gap!r}",
@@ -293,6 +289,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except WeiljetError as exc:
         print(f"weiljet: error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except ValueError as exc:
+        # Every handler renders its rationals to text before returning; an
+        # int over the interpreter's digit cap fails there, with this message.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"weiljet: error: a number in the result has more than {int_digit_limit()} digits, "
+            "the interpreter's limit for integer-to-string conversion",
+            file=sys.stderr,
+        )
         return EXIT_FAILURE
     report.wall_time_ms = int((time.perf_counter() - started) * 1000)
     if args.format == "json":

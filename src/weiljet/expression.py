@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WeiljetError
+from .errors import WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
 
 
@@ -244,6 +244,19 @@ class _Parser:
         found = tok.kind if tok.kind == _EOF else repr(tok.text)
         raise ParseError(f"unexpected {found}", tok.line, tok.column, expected)
 
+    @staticmethod
+    def integer(tok: _Token, digits: str) -> int:
+        # The lexer admits digits only, so the one way int() fails is a
+        # literal over the interpreter's digit cap.
+        try:
+            return int(digits)
+        except ValueError:
+            raise ParseError(
+                f"literal of {len(digits)} digits is over the limit of {int_digit_limit()} "
+                "digits for integer conversion",
+                tok.line, tok.column,
+            ) from None
+
     def parse(self) -> Expr:
         e = self.expr()
         if self.peek().kind != _EOF:
@@ -279,7 +292,8 @@ class _Parser:
                     "exponent must be a nonnegative integer literal",
                     tok.line, tok.column, ("natural number",),
                 )
-            e = Pow(e, int(self.advance().text))
+            tok = self.advance()
+            e = Pow(e, self.integer(tok, tok.text))
         return e
 
     def atom(self) -> Expr:
@@ -296,20 +310,21 @@ class _Parser:
                 # Adjacent nat/nat is a rational literal, not a quotient.
                 self.advance()
                 self.advance()
-                if int(den.text) == 0:
+                q = self.integer(den, den.text)
+                if q == 0:
                     raise ParseError(
                         "zero denominator in rational literal",
                         den.line, den.column, ("nonzero natural",),
                     )
-                return Const(Fraction(int(tok.text), int(den.text)))
-            return Const(Fraction(int(tok.text)))
+                return Const(Fraction(self.integer(tok, tok.text), q))
+            return Const(Fraction(self.integer(tok, tok.text)))
         if tok.kind == _DEC:
             self.advance()
             whole, frac = tok.text.split(".")
-            return Const(Fraction(int(whole + frac), 10 ** len(frac)))
+            return Const(Fraction(self.integer(tok, whole + frac), 10 ** len(frac)))
         if tok.kind == _VAR:
             self.advance()
-            return Var(int(tok.text[1:]))
+            return Var(self.integer(tok, tok.text[1:]))
         if tok.kind == "(":
             self.advance()
             e = self.expr()

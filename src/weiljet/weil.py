@@ -12,14 +12,20 @@ A shape may also carry a total-degree cap N, which drops every monomial with
 {|alpha| <= N}, the degree-N multivariate Taylor arithmetic. The box and the
 simplex are thus two truncations of one class.
 
-Coefficients are ``fractions.Fraction`` throughout, so every identity the
-package checks is an exact equality, never an approximation. Coefficients
-are stored densely in ``enumerate_box`` order (mixed-radix position
-``sum_i alpha_i * prod_{j<i} (k_j + 1)``); shapes stay small in practice,
-and density keeps indexing trivial and output reproducible. A capped shape
-keeps this layout over its orders, with the slots above the cap always zero,
-so ``Shape.simplex(n, N)`` allocates (N+1)^n slots for its C(N+n, n) live
-monomials; the ring operations compute only the live ones.
+Coefficients are exact rationals stored fraction-free: an element holds one
+``int`` numerator per slot over one positive ``int`` denominator, kept in
+lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep after every
+operation. The ring operations thus run on ints only, each value has one
+form, and every identity the package checks is an exact equality, never an
+approximation; ``WeilElement.coeffs`` presents the slots as ``Fraction``s.
+Numerators are stored densely in ``enumerate_box`` order (mixed-radix
+position ``sum_i alpha_i * prod_{j<i} (k_j + 1)``); shapes stay small in
+practice, and density keeps indexing trivial and output reproducible. A
+capped shape keeps this layout over its orders, with the slots above the cap
+always zero, so ``Shape.simplex(n, N)`` allocates (N+1)^n slots for its
+C(N+n, n) live monomials. Products visit only the live ones; sums and scalar
+multiples run over every slot, which costs little on zero ints. Powers are
+taken by square-and-multiply.
 
 Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
 larger one raises ``CoefficientBudgetError`` before anything is allocated.
@@ -39,6 +45,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional
 
 from . import multiindex
@@ -123,10 +130,6 @@ class Shape:
     def monomials(self) -> tuple[MultiIndex, ...]:
         """The live monomials (those under the cap), in layout order."""
         return _live(self.orders, self.degree)[0]
-
-    def live_slots(self):
-        """Layout positions of ``monomials()``."""
-        return _live(self.orders, self.degree)[1]
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -220,53 +223,116 @@ def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
     return tuple(plan)
 
 
-def _slotwise(shape: Shape, op, *columns) -> tuple:
-    """``op`` applied slot by slot. On a capped shape only the live slots are
-    computed: a Fraction op costs about as much on a zero as on any other
-    value, and a simplex shape has far more dead slots than live ones."""
-    if shape.degree is None:
-        return tuple(map(op, *columns))
-    out = [_ZERO] * shape.size()
-    live = shape.live_slots()
-    for p, c in zip(live, map(op, *([col[p] for p in live] for col in columns))):
-        out[p] = c
-    return tuple(out)
+def _raw(shape: Shape, nums: tuple, den: int) -> "WeilElement":
+    """An element from numerators over ``den`` > 0 already in lowest terms."""
+    out = object.__new__(WeilElement)
+    out._shape = shape
+    out._nums = nums
+    out._den = den
+    out._coeffs = None
+    return out
 
 
-@dataclass(frozen=True)
+def _reduced(shape: Shape, nums: tuple, den: int) -> "WeilElement":
+    """An element from numerators over ``den`` > 0, put in lowest terms by one
+    gcd sweep."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = tuple(map(g.__rfloordiv__, nums))
+        den //= g
+    return _raw(shape, nums, den)
+
+
 class WeilElement:
-    shape: Shape
-    coeffs: tuple[Fraction, ...]
+    """An element of the algebra of ``shape``, stored fraction-free: a tuple
+    of ``int`` numerators in layout order over one positive ``int``
+    denominator, with ``gcd(den, *nums) == 1``. That form is unique, so
+    ``==`` and ``hash`` compare values.
+
+    ``WeilElement(shape, coeffs)`` takes one rational per slot; ``coeffs``
+    gives them back as reduced ``Fraction``s, built on first use.
+    """
+
+    __slots__ = ("_shape", "_nums", "_den", "_coeffs")
+
+    def __init__(self, shape: Shape, coeffs):
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if len(coeffs) != shape.size():
+            raise ValueError(f"shape {shape} has {shape.size()} slots, got {len(coeffs)} coefficients")
+        den = lcm(*(c.denominator for c in coeffs))
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it, so this is already the canonical form.
+        self._shape = shape
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
+        self._coeffs = coeffs
+
+    shape = property(lambda self: self._shape)
+    nums = property(lambda self: self._nums, doc="Numerators in layout order.")
+    den = property(lambda self: self._den, doc="The shared positive denominator.")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Every slot as a reduced ``Fraction``, in layout order."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(n, den) if n else _ZERO for n in self._nums)
+        return self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, WeilElement):
+            return NotImplemented
+        return self._den == other._den and self._shape == other._shape and self._nums == other._nums
+
+    def __hash__(self):
+        return hash((self._shape, self._den, self._nums))
+
+    def __repr__(self) -> str:
+        return f"WeilElement({self._shape!r}, {self.coeffs!r})"
 
     def _require_same_shape(self, other: "WeilElement") -> None:
-        if self.shape != other.shape:
+        if self._shape is not other._shape and self._shape != other._shape:
             raise ShapeMismatchError(
-                f"shapes {self.shape} and {other.shape} do not match; "
+                f"shapes {self._shape} and {other._shape} do not match; "
                 "embed explicitly before mixing carriers"
             )
+
+    def _combine(self, other: "WeilElement", op) -> "WeilElement":
+        # Both sides over the lcm of the two denominators, then op slot by slot.
+        self._require_same_shape(other)
+        a, b = self._nums, other._nums
+        den, other_den = self._den, other._den
+        if den != other_den:
+            g = gcd(den, other_den)
+            scale_a, scale_b = other_den // g, den // g
+            if scale_a != 1:
+                a = map(scale_a.__mul__, a)
+            if scale_b != 1:
+                b = map(scale_b.__mul__, b)
+            den *= scale_a
+        return _reduced(self._shape, tuple(map(op, a, b)), den)
 
     def __add__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        self._require_same_shape(other)
-        return WeilElement(self.shape, _slotwise(self.shape, operator.add, self.coeffs, other.coeffs))
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, WeilElement):
             return NotImplemented
-        self._require_same_shape(other)
-        return WeilElement(self.shape, _slotwise(self.shape, operator.sub, self.coeffs, other.coeffs))
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
-        return WeilElement(self.shape, _slotwise(self.shape, operator.neg, self.coeffs))
+        return _raw(self._shape, tuple(map(operator.neg, self._nums)), self._den)
 
     def __mul__(self, other):
         if isinstance(other, WeilElement):
             self._require_same_shape(other)
-            a = self.coeffs
-            b = other.coeffs
-            out = [_ZERO] * len(a)
-            for p, pairs in _mul_plan(self.shape.orders, self.shape.degree):
+            shape = self._shape
+            a = self._nums
+            b = other._nums
+            out = [0] * len(a)
+            for p, pairs in _mul_plan(shape.orders, shape.degree):
                 ca = a[p]
                 if not ca:
                     continue
@@ -274,10 +340,10 @@ class WeilElement:
                     cb = b[q]
                     if cb:
                         out[r] += ca * cb
-            return WeilElement(self.shape, tuple(out))
+            return _reduced(shape, tuple(out), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return WeilElement(self.shape, _slotwise(self.shape, c.__mul__, self.coeffs))
+            scaled = tuple(map(other.numerator.__mul__, self._nums))
+            return _reduced(self._shape, scaled, self._den * other.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -296,26 +362,33 @@ class WeilElement:
         return NotImplemented
 
     def __pow__(self, exponent: int):
+        """Truncated power by square-and-multiply; a**0 == 1 (the 0^0 = 1
+        convention) and a**1 is a itself."""
+        exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("use invert() for negative powers")
-        # Repeated truncated multiplication; a**0 == 1 (the 0^0 = 1 convention).
-        out = one(self.shape)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        out = None
+        square = self
+        while True:
+            if exponent & 1:
+                out = square if out is None else out * square
+            exponent >>= 1
+            if not exponent:
+                return one(self._shape) if out is None else out
+            square = square * square
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._nums)
 
     def constant_term(self) -> Fraction:
-        return self.coeffs[0]
+        return Fraction(self._nums[0], self._den)
 
     def coefficient(self, alpha) -> Fraction:
         """Coefficient at alpha; the unique polynomial decomposition weights."""
         alpha = as_multiindex(alpha)
-        if not self.shape.contains(alpha):
-            raise CoefficientIndexError(f"index {alpha} outside shape {self.shape}")
-        return self.coeffs[self.shape.index(alpha)]
+        if not self._shape.contains(alpha):
+            raise CoefficientIndexError(f"index {alpha} outside shape {self._shape}")
+        return Fraction(self._nums[self._shape.index(alpha)], self._den)
 
     def is_in_Dm(self, m: int) -> bool:
         """Whether the element is m-nilpotent: its (m+1)-th power vanishes."""
@@ -329,13 +402,13 @@ class WeilElement:
         Writes the element as c * (1 + eps) with eps nilpotent and sums the
         terminating geometric series sum_j (-eps)^j / c.
         """
-        c = self.coeffs[0]
+        c = self.constant_term()
         if c == 0:
             raise NonInvertibleError("element with zero constant term has no inverse")
-        neg_eps = one(self.shape) - self * (_ONE / c)
-        acc = one(self.shape)
-        term = one(self.shape)
-        for _ in range(self.shape.nilpotency_bound()):
+        neg_eps = one(self._shape) - self * (_ONE / c)
+        acc = one(self._shape)
+        term = one(self._shape)
+        for _ in range(self._shape.nilpotency_bound()):
             term = term * neg_eps
             if term.is_zero():
                 break
@@ -344,7 +417,7 @@ class WeilElement:
 
     def __str__(self) -> str:
         parts = []
-        for alpha, c in zip(self.shape.box(), self.coeffs):
+        for alpha, c in zip(self._shape.box(), self.coeffs):
             if not c:
                 continue
             mono = "*".join(
@@ -360,18 +433,25 @@ class WeilElement:
 
 
 def zero(shape: Shape) -> WeilElement:
-    return WeilElement(shape, (_ZERO,) * shape.size())
+    return _raw(shape, (0,) * shape.size(), 1)
 
 
 def one(shape: Shape) -> WeilElement:
-    return constant(shape, _ONE)
+    return constant(shape, 1)
+
+
+def _unit(shape: Shape, position: int, num: int = 1, den: int = 1) -> WeilElement:
+    # num/den (in lowest terms) at one slot, zero elsewhere.
+    nums = [0] * shape.size()
+    nums[position] = num
+    return _raw(shape, tuple(nums), den)
 
 
 def constant(shape: Shape, c) -> WeilElement:
     """Embed a scalar: coefficient c at alpha = 0, zero elsewhere."""
-    coeffs = [_ZERO] * shape.size()
-    coeffs[0] = Fraction(c)
-    return WeilElement(shape, tuple(coeffs))
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return _unit(shape, 0, c.numerator, c.denominator)
 
 
 def generator(shape: Shape, i: int) -> WeilElement:
@@ -385,10 +465,7 @@ def generator(shape: Shape, i: int) -> WeilElement:
         raise DegenerateGeneratorError(
             f"generator d{i} is identically zero in shape {shape}"
         )
-    coeffs = [_ZERO] * shape.size()
-    unit = tuple(1 if j == i else 0 for j in range(shape.arity))
-    coeffs[shape.index(unit)] = _ONE
-    return WeilElement(shape, tuple(coeffs))
+    return _unit(shape, _strides(shape.orders)[i])
 
 
 def monomial(shape: Shape, alpha) -> WeilElement:
@@ -400,9 +477,7 @@ def monomial(shape: Shape, alpha) -> WeilElement:
         )
     if not shape.contains(alpha):
         return zero(shape)
-    coeffs = [_ZERO] * shape.size()
-    coeffs[shape.index(alpha)] = _ONE
-    return WeilElement(shape, tuple(coeffs))
+    return _unit(shape, shape.index(alpha))
 
 
 def from_coefficients(shape: Shape, entries) -> WeilElement:
@@ -432,16 +507,12 @@ def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
         raise CoefficientIndexError(f"power {power} exceeds order {k[i]} of generator {i}")
     degree = a.shape.degree
     reduced = Shape(k[:i] + k[i + 1 :], None if degree is None else degree - power)
-    coeffs = [a.coeffs[a.shape.index(beta[:i] + (power,) + beta[i:])] for beta in reduced.box()]
-    return WeilElement(reduced, tuple(coeffs))
+    nums = tuple(a.nums[a.shape.index(beta[:i] + (power,) + beta[i:])] for beta in reduced.box())
+    return _reduced(reduced, nums, a.den)
 
 
 def rational_to_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
-
-
-def rational_from_json(obj) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 def element_to_json(a: WeilElement) -> dict:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from weiljet.cli import main
+from weiljet.errors import int_digit_limit
 
 GOLDEN_TAYLOR = """\
 mode: box
@@ -232,3 +237,62 @@ def test_taylor_over_the_slot_budget_fails_cleanly(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "over the budget" in err
+
+
+# One past the interpreter's int/str digit cap by 700: 5000 at the default cap.
+OVER_DIGIT_LIMIT = int_digit_limit() + 700
+needs_digit_limit = pytest.mark.skipif(not int_digit_limit(), reason="this interpreter has no int/str digit cap")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--expr", f"x0^{OVER_DIGIT_LIMIT}", "--at", "10", "--alpha", "1"],
+        ["taylor", "--expr", f"x0^{OVER_DIGIT_LIMIT}", "--at", "10", "--orders", "1", "--format", "json"],
+    ],
+)
+def test_a_result_over_the_digit_limit_fails_cleanly(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("weiljet: error:") and f"{int_digit_limit()} digits" in err
+
+
+@needs_digit_limit
+def test_a_literal_over_the_digit_limit_is_a_parse_error(capsys):
+    expr = "x0 + " + "7" * OVER_DIGIT_LIMIT
+    code, out, err = run_cli(["derive", "--expr", expr, "--at", "1", "--alpha", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("weiljet: error:") and f"{int_digit_limit()} digits" in err
+    assert "line 1, column 6" in err
+
+
+# stdout of each command, byte for byte, as the package printed it before
+# coefficients were stored fraction-free; every command exits 0.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+QUOTIENT = "(x0*x1 - 3/2*x2)^3/(1 + x0^2 + x1*x2) + x0^4*x2"
+TAYLOR = ["taylor", "--expr", QUOTIENT, "--at", "1,2,1", "--orders", "3,3,3"]
+GOLDEN_CASES = {
+    "taylor_box.txt": TAYLOR,
+    "taylor_box.json": TAYLOR + ["--format", "json"],
+    "taylor_simplex.txt": TAYLOR + ["--mode", "simplex"],
+    "taylor_simplex.json": TAYLOR + ["--mode", "simplex", "--format", "json"],
+    "derive.txt": ["derive", "--expr", "1/(1+x0^2)", "--at", "1/3", "--alpha", "4"],
+    "check_all_seed7.json": ["check", "--suite", "all", "--seed", "7", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_stdout_matches_the_golden_bytes(name):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "weiljet.cli", *GOLDEN_CASES[name]], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / name).read_bytes()

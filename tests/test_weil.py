@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -402,3 +403,142 @@ def test_shapes_over_the_slot_budget_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- Fraction-free storage and powering -------------------------------------------
+
+# Denominators for random coefficients: none, small primes, and large coprime
+# ones (two primes and a Mersenne prime), so common denominators grow big.
+_DENOMINATORS = ((1,), (2, 3, 5, 7), (10007, 65537, 2**61 - 1), (1, 4, 9, 10**18 + 9))
+
+
+def _kernel_element(rng: random.Random, shape: Shape) -> WeilElement:
+    # Zero about one time in eight; otherwise signed numerators up to 10^12.
+    coeffs = [Fraction(0)] * shape.size()
+    if rng.random() < 0.125:
+        return WeilElement(shape, tuple(coeffs))
+    dens = rng.choice(_DENOMINATORS)
+    for p in _live_positions(shape):
+        if rng.random() < 0.7:
+            coeffs[p] = Fraction(rng.randint(-10**12, 10**12), rng.choice(dens))
+    return WeilElement(shape, tuple(coeffs))
+
+
+def _ref_mul(shape: Shape, a, b) -> tuple:
+    # Truncated product of two Fraction vectors by a loop over all slot pairs.
+    box = shape.box()
+    pos = {alpha: p for p, alpha in enumerate(box)}
+    out = [Fraction(0)] * len(box)
+    for alpha, ca in zip(box, a):
+        for beta, cb in zip(box, b):
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            if shape.contains(gamma):
+                out[pos[gamma]] += ca * cb
+    return tuple(out)
+
+
+def _assert_canonical(a: WeilElement) -> None:
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+    assert all(type(n) is int for n in a.nums) and type(a.den) is int
+    assert a.coeffs == tuple(Fraction(n, a.den) for n in a.nums)
+
+
+def test_kernel_ops_equal_a_fraction_reference():
+    rng = random.Random("weil:fraction-free")
+    for _ in range(80):
+        shape = _random_capped_shape(rng)
+        a, b = _kernel_element(rng, shape), _kernel_element(rng, shape)
+        c = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 10007, 2**61 - 1)))
+        one_coeffs = one(shape).coeffs
+        results = {
+            "+": (a + b, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))),
+            "-": (a - b, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))),
+            "neg": (-a, tuple(-x for x in a.coeffs)),
+            "*": (a * b, _ref_mul(shape, a.coeffs, b.coeffs)),
+            "scalar *": (a * c, tuple(x * c for x in a.coeffs)),
+            "int *": (7 * a, tuple(7 * x for x in a.coeffs)),
+        }
+        if c:
+            results["scalar /"] = (a / c, tuple(x / c for x in a.coeffs))
+        for op, (got, expected) in results.items():
+            assert got.coeffs == expected, op
+            _assert_canonical(got)
+        if b.constant_term():
+            inverse = b.invert()
+            _assert_canonical(inverse)
+            assert _ref_mul(shape, b.coeffs, inverse.coeffs) == one_coeffs
+            quotient = a / b
+            _assert_canonical(quotient)
+            assert _ref_mul(shape, quotient.coeffs, b.coeffs) == a.coeffs
+        else:
+            with pytest.raises(NonInvertibleError):
+                b.invert()
+
+
+def test_equal_values_are_equal_elements_however_built():
+    rng = random.Random("weil:canonical")
+    for _ in range(40):
+        shape = _random_capped_shape(rng)
+        a = _kernel_element(rng, shape)
+        c = Fraction(rng.randint(1, 10**6), rng.choice((1, 7, 10007)))
+        twins = [
+            WeilElement(shape, a.coeffs),
+            WeilElement(shape, list(a.coeffs)),
+            element_from_json(element_to_json(a)),
+            a * c / c,
+            (a + a) * Fraction(1, 2),
+            -(-a),
+            a - zero(shape),
+            a * one(shape),
+            a ** 1,
+        ]
+        for twin in twins:
+            _assert_canonical(twin)
+            assert twin == a and hash(twin) == hash(a)
+        gone = a - a
+        assert gone == zero(shape) and hash(gone) == hash(zero(shape)) and gone.den == 1
+    s = Shape((2, 1))
+    half = Fraction(3, 2)
+    ways = [
+        constant(s, half),
+        WeilElement(s, (half,) + (0,) * (s.size() - 1)),
+        from_coefficients(s, {(0, 0): Fraction(6, 4)}),
+        one(s) * half,
+        constant(s, 3) / 2,
+        constant(s, 1) + constant(s, Fraction(1, 2)),
+    ]
+    assert len(set(ways)) == 1 and all(w == ways[0] for w in ways)
+    assert generator(s, 1) == monomial(s, (0, 1)) == from_coefficients(s, {(0, 1): 1})
+
+
+def test_constructor_round_trips_its_coefficients():
+    rng = random.Random("weil:constructor")
+    for _ in range(40):
+        shape = _random_capped_shape(rng)
+        coeffs = _kernel_element(rng, shape).coeffs
+        a = WeilElement(shape, coeffs)
+        assert a.coeffs == coeffs
+        _assert_canonical(a)
+    ints = WeilElement(Shape((2,)), (4, -6, 0))
+    assert ints.coeffs == (Fraction(4), Fraction(-6), Fraction(0)) and ints.den == 1 and ints.nums == (4, -6, 0)
+    with pytest.raises(ValueError):
+        WeilElement(Shape((2,)), (1, 2))
+
+
+def test_pow_equals_repeated_multiplication():
+    rng = random.Random("weil:pow")
+    for _ in range(40):
+        shape = _random_capped_shape(rng)
+        a = _kernel_element(rng, shape)
+        expected = one(shape)
+        for exponent in range(10):
+            power = a**exponent
+            assert power == expected, exponent
+            _assert_canonical(power)
+            expected = expected * a
+    d = generator(Shape((2,)), 0)
+    # Square-and-multiply needs 20 squarings here, not a million products.
+    n = 10**6
+    assert (one(Shape((2,))) + d) ** n == from_coefficients(Shape((2,)), {(0,): 1, (1,): n, (2,): n * (n - 1) // 2})
+    with pytest.raises(ValueError):
+        d ** -1
