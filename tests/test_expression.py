@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from weiljet.expression import (
     substitute,
     variables,
 )
+from weiljet.errors import int_digit_limit
 from weiljet.multiindex import ArityMismatchError
 from weiljet.weil import Shape, constant, generator, one
 
@@ -113,6 +116,29 @@ def test_parse_error_positions():
         parse("(x0")
     with pytest.raises(ParseError):
         parse("")
+
+
+# Inputs paired with what the recursive-descent parser gave for them before its
+# tokenizer was rewritten: the canonical print of the AST, or the ParseError's
+# message, line, column and expected kinds. Entries tagged "digit_cap" hold a
+# literal one digit over that cap and apply only where the interpreter has it.
+PARSE_CORPUS = Path(__file__).resolve().parent / "golden" / "parse_corpus.json"
+
+
+def test_parse_matches_the_golden_corpus():
+    cases = json.loads(PARSE_CORPUS.read_text(encoding="utf-8"))
+    assert len(cases) >= 40
+    for case in cases:
+        if case.get("digit_cap", int_digit_limit()) != int_digit_limit():
+            continue
+        source = case["source"]
+        if "pretty" in case:
+            assert pretty_print(parse(source)) == case["pretty"], source
+            continue
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        got = (str(info.value), info.value.line, info.value.column, list(info.value.expected))
+        assert got == (case["error"], case["line"], case["column"], case["expected"]), source
 
 
 def test_pretty_print_examples():
