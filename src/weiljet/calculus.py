@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 
 from . import multiindex
 from .errors import WeiljetError
@@ -112,13 +113,21 @@ def jet_evaluate(f: Expr, x, shape: Shape) -> WeilElement:
         raise ArityMismatchError(
             f"point of length {len(x)} does not match shape {shape}"
         )
+    return evaluate_perturbed(f, x, shape, [(i,) if k else () for i, k in enumerate(shape.orders)])
+
+
+def evaluate_perturbed(f: Expr, x, shape: Shape, seeds) -> WeilElement:
+    """Evaluate f over ``shape`` at the point whose i-th coordinate is x[i]
+    plus the generators d_t for t in seeds[i]; the rational constants of f
+    embed as constant jets.
+    """
     args = []
-    for i, xi in enumerate(x):
+    for xi, ts in zip(x, seeds):
         arg = constant(shape, xi)
-        if shape.orders[i] >= 1:
-            arg = arg + generator(shape, i)
+        for t in ts:
+            arg = arg + generator(shape, t)
         args.append(arg)
-    return evaluate(f, args, lift=lambda c: constant(shape, c))
+    return evaluate(f, args, lift=partial(constant, shape))
 
 
 def kl_decompose(g: Expr, order: int):
@@ -130,8 +139,7 @@ def kl_decompose(g: Expr, order: int):
     if order < 0:
         raise ValueError("order must be a natural")
     shape = Shape((order,))
-    d = generator(shape, 0) if order >= 1 else zero(shape)
-    val = evaluate(g, [d], lift=lambda c: constant(shape, c))
+    val = evaluate_perturbed(g, (0,), shape, ((0,) if order >= 1 else (),))
     g0 = val.coefficient((0,))
     b = [val.coefficient((i + 1,)) for i in range(order)]
     return g0, b
@@ -139,8 +147,7 @@ def kl_decompose(g: Expr, order: int):
 
 def derivative(f: Expr, x) -> Fraction:
     """First derivative: the linear coefficient of f(x + d), d square-zero."""
-    jet = jet_evaluate(f, (x,), Shape((1,)))
-    return jet.coefficient((1,))
+    return nth_derivative(f, 1, x)
 
 
 def nth_derivative(f: Expr, n: int, x) -> Fraction:
@@ -196,15 +203,8 @@ def iterated_partial(f: Expr, applications, x) -> Fraction:
                 f"variable index {i} out of range for point of length {len(x)}"
             )
     m = len(seq)
-    shape = Shape((1,) * m)
-    args = []
-    for v, xv in enumerate(x):
-        arg = constant(shape, xv)
-        for t, target in enumerate(seq):
-            if target == v:
-                arg = arg + generator(shape, t)
-        args.append(arg)
-    u = evaluate(f, args, lift=lambda c: constant(shape, c))
+    seeds = [[t for t, target in enumerate(seq) if target == v] for v in range(len(x))]
+    u = evaluate_perturbed(f, x, Shape((1,) * m), seeds)
     remaining = list(range(m))
     for t in range(m):
         pos = remaining.index(t)
@@ -223,14 +223,21 @@ def _point_and_orders(x, k):
     return x, k
 
 
+@lru_cache(maxsize=None)
+def _readout(mode: str, orders: MultiIndex, shape: Shape) -> tuple:
+    # (alpha, layout position in shape, alpha!) for every entry of the table,
+    # in its enumeration order; each is a live monomial of shape.
+    table = DerivTable(mode, len(orders), orders, {})
+    return tuple((alpha, shape.index(alpha), multiindex.factorial(alpha)) for alpha in table.enumeration())
+
+
 def _taylor_table(mode: str, f: Expr, x, k, shape: Shape) -> DerivTable:
     # One evaluation over the table's own algebra; entry alpha is alpha! times
-    # the d^alpha coefficient, listed in the table's enumeration order.
-    table = DerivTable(mode, len(x), k, {})
+    # the d^alpha coefficient, read straight off the jet's numerators.
     jet = jet_evaluate(f, x, shape)
-    for alpha in table.enumeration():
-        table.entries[alpha] = multiindex.factorial(alpha) * jet.coefficient(alpha)
-    return table
+    nums, den = jet.nums, jet.den
+    entries = {alpha: Fraction(scale * nums[p], den) for alpha, p, scale in _readout(mode, k, shape)}
+    return DerivTable(mode, len(x), k, entries)
 
 
 def taylor_box(f: Expr, x, k) -> DerivTable:
@@ -288,7 +295,7 @@ def expand_sum_of_D(f: Expr, x, m: int):
     for i in range(m):
         delta = delta + generator(shape, i)
     x = Fraction(x)
-    lhs = evaluate(f, [constant(shape, x) + delta], lift=lambda c: constant(shape, c))
+    lhs = evaluate_perturbed(f, (x,), shape, (range(m),))
     # f^(n)(x) = n! times the d^n coefficient of one jet over d^(m+1) = 0;
     # the check below compares it with the m square-zero generators above.
     jet = jet_evaluate(f, (x,), Shape((m,)))

@@ -20,9 +20,12 @@ integer literals, with no whitespace on either side, is part of a rational
 literal ("1/2" is the constant one half); any other slash is division
 ("1 / 2" and "1/(2)" are quotients). Decimal literals convert exactly to
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
-exponent must be a bare natural literal.
+exponent must be a bare natural literal. At most ``MAX_NESTING``
+parentheses and unary minus signs may be open at once.
 
-``parse(pretty_print(e)) == e`` for every AST reachable from the grammar.
+``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
+whose printed form stays within that nesting limit: the printer brackets
+every operator node, and a negation opens a minus sign besides.
 Two kinds of nodes fall outside that fragment and print as their closest
 grammar form: constants with negative values print parenthesized with a
 leading minus (reparsing as a negation node), and composition nodes print
@@ -34,6 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
@@ -171,174 +175,168 @@ def arity(e: Expr) -> int:
 
 # -- Parser -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+\.\d+|\d+|x\d+|[+\-*/^()]|\s+|.")
+# How many parentheses and unary minus signs may be open at once. An open
+# parenthesis costs the parser four stack frames and a minus sign costs the
+# AST walks after it one, so the deepest input accepted needs about 800
+# frames, inside Python's default recursion limit of 1000; a deeper one is a
+# positioned ParseError.
+MAX_NESTING = 200
 
-_NAT = "nat"
-_DEC = "dec"
-_VAR = "var"
-_EOF = "end of input"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # _NAT, _DEC, _VAR, or the operator character itself
-    text: str
-    line: int
-    column: int
-    offset: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.text)
+# One match per token, after any whitespace; the capture group that matched
+# (``m.lastindex``) is the token's kind. The last group takes any other
+# non-blank character, which no token may start with.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+)|(\d+)|(x\d+)|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|(\S))")
+_EOF, _DEC, _NAT, _VAR, _PLUS, _MINUS, _TIMES, _SLASH, _CARET, _LPAREN, _RPAREN, _BAD = range(12)
+_KIND = itemgetter(0)
+_ADDITIVE = {_PLUS: Add, _MINUS: Sub}
+_MULTIPLICATIVE = {_TIMES: Mul, _SLASH: Div}
+_END = "end of input"
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    for m in _TOKEN_RE.finditer(source):
-        text = m.group()
-        assert m.start() == pos
-        pos = m.end()
-        here_line, here_col = line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        if text.isspace():
-            continue
-        if text[0].isdigit():
-            kind = _DEC if "." in text else _NAT
-        elif text[0] == "x" and len(text) > 1:
-            kind = _VAR
-        elif text in "+-*/^()":
-            kind = text
-        else:
-            raise ParseError(
-                f"unexpected character {text!r}", here_line, here_col,
-                ("number", "variable", "operator", "parenthesis"),
-            )
-        tokens.append(_Token(kind, text, here_line, here_col, m.start()))
-    tokens.append(_Token(_EOF, "", line, col, len(source)))
+def _error(source: str, message: str, offset: int, expected: tuple[str, ...] = ()) -> ParseError:
+    # Line and column of a character offset, worked out only for the error.
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset), expected)
+
+
+def _tokenize(source: str) -> list:
+    """(kind, text, start, end) per token, closed by an end-of-input token."""
+    tokens = [(k := m.lastindex, m[k], m.start(k), m.end()) for m in _TOKEN_RE.finditer(source)]
+    if _BAD in map(_KIND, tokens):  # scanned in C; the generator runs only on error
+        _, text, start, _ = next(t for t in tokens if t[0] == _BAD)
+        raise _error(
+            source, f"unexpected character {text!r}", start,
+            ("number", "variable", "operator", "parenthesis"),
+        )
+    tokens.append((_EOF, "", len(source), len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    # Recursive descent over the token list; the end-of-input token is never
+    # stepped over, so every lookahead stays in range.
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        kind, text, start, _ = self.tokens[self.pos]
+        found = _END if kind == _EOF else repr(text)
+        return _error(self.source, f"unexpected {found}", start, expected)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != _EOF:
-            self.pos += 1
-        return tok
+    def enter(self, start: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _error(
+                self.source,
+                f"more than {MAX_NESTING} parentheses and unary minus signs open at once",
+                start,
+            )
 
-    def fail(self, expected: tuple[str, ...]) -> None:
-        tok = self.peek()
-        found = tok.kind if tok.kind == _EOF else repr(tok.text)
-        raise ParseError(f"unexpected {found}", tok.line, tok.column, expected)
-
-    @staticmethod
-    def integer(tok: _Token, digits: str) -> int:
-        # The lexer admits digits only, so the one way int() fails is a
-        # literal over the interpreter's digit cap.
+    def integer(self, digits: str, start: int) -> int:
+        # The lexer admits decimal digits only, so the one way int() fails is
+        # a literal over the interpreter's digit cap.
         try:
             return int(digits)
         except ValueError:
-            raise ParseError(
+            raise _error(
+                self.source,
                 f"literal of {len(digits)} digits is over the limit of {int_digit_limit()} "
                 "digits for integer conversion",
-                tok.line, tok.column,
+                start,
             ) from None
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.peek().kind != _EOF:
-            self.fail(("'+'", "'-'", "'*'", "'/'", _EOF))
+        if self.tokens[self.pos][0] != _EOF:
+            raise self.unexpected(("'+'", "'-'", "'*'", "'/'", _END))
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        while (node := _ADDITIVE.get(self.tokens[self.pos][0])) is not None:
+            self.pos += 1
+            e = node(e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        while (node := _MULTIPLICATIVE.get(self.tokens[self.pos][0])) is not None:
+            self.pos += 1
+            e = node(e, self.factor())
         return e
 
     def factor(self) -> Expr:
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.factor())
+        tokens = self.tokens
+        negations = 0
+        while tokens[self.pos][0] == _MINUS:
+            self.enter(tokens[self.pos][2])
+            self.pos += 1
+            negations += 1
         e = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            if self.peek().kind != _NAT:
-                tok = self.peek()
-                raise ParseError(
-                    "exponent must be a nonnegative integer literal",
-                    tok.line, tok.column, ("natural number",),
+        if tokens[self.pos][0] == _CARET:
+            kind, text, start, _ = tokens[self.pos + 1]
+            if kind != _NAT:
+                raise _error(
+                    self.source, "exponent must be a nonnegative integer literal",
+                    start, ("natural number",),
                 )
-            tok = self.advance()
-            e = Pow(e, self.integer(tok, tok.text))
+            self.pos += 2
+            e = Pow(e, self.integer(text, start))
+        self.depth -= negations
+        for _ in range(negations):
+            e = Neg(e)
         return e
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == _NAT:
-            self.advance()
-            slash, den = self.peek(), self.peek(1)
-            if (
-                slash.kind == "/"
-                and den.kind == _NAT
-                and slash.offset == tok.end
-                and den.offset == slash.end
-            ):
-                # Adjacent nat/nat is a rational literal, not a quotient.
-                self.advance()
-                self.advance()
-                q = self.integer(den, den.text)
-                if q == 0:
-                    raise ParseError(
-                        "zero denominator in rational literal",
-                        den.line, den.column, ("nonzero natural",),
-                    )
-                return Const(Fraction(self.integer(tok, tok.text), q))
-            return Const(Fraction(self.integer(tok, tok.text)))
-        if tok.kind == _DEC:
-            self.advance()
-            whole, frac = tok.text.split(".")
-            return Const(Fraction(self.integer(tok, whole + frac), 10 ** len(frac)))
-        if tok.kind == _VAR:
-            self.advance()
-            return Var(self.integer(tok, tok.text[1:]))
-        if tok.kind == "(":
-            self.advance()
+        tokens = self.tokens
+        pos = self.pos
+        kind, text, start, end = tokens[pos]
+        if kind == _NAT:
+            self.pos = pos + 1
+            slash = tokens[pos + 1]
+            if slash[0] == _SLASH and slash[2] == end:
+                den_kind, den, den_start, _ = tokens[pos + 2]
+                if den_kind == _NAT and den_start == slash[3]:
+                    # Adjacent nat/nat is a rational literal, not a quotient.
+                    self.pos = pos + 3
+                    q = self.integer(den, den_start)
+                    if q == 0:
+                        raise _error(
+                            self.source, "zero denominator in rational literal",
+                            den_start, ("nonzero natural",),
+                        )
+                    return Const(Fraction(self.integer(text, start), q))
+            return Const(self.integer(text, start))
+        if kind == _VAR:
+            self.pos = pos + 1
+            return Var(self.integer(text[1:], start))
+        if kind == _DEC:
+            self.pos = pos + 1
+            whole, frac = text.split(".")
+            return Const(Fraction(self.integer(whole + frac, start), 10 ** len(frac)))
+        if kind == _LPAREN:
+            self.enter(start)
+            self.pos = pos + 1
             e = self.expr()
-            if self.peek().kind != ")":
-                self.fail(("')'",))
-            self.advance()
+            if tokens[self.pos][0] != _RPAREN:
+                raise self.unexpected(("')'",))
+            self.pos += 1
+            self.depth -= 1
             return e
-        self.fail(("number", "variable", "'('", "'-'"))
-        raise AssertionError("unreachable")
+        raise self.unexpected(("number", "variable", "'('", "'-'"))
 
 
 def parse(source: str) -> Expr:
-    """Parse source text into an AST, or raise ParseError with position."""
-    return _Parser(_tokenize(source)).parse()
+    """Parse source text into an AST, or raise ParseError with position.
+
+    Nesting deeper than ``MAX_NESTING`` parentheses and unary minus signs is
+    a ParseError at the first sign past the limit.
+    """
+    return _Parser(source).parse()
 
 
 # -- Printing -----------------------------------------------------------------

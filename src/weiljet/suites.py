@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from .calculus import (
     check_rule,
     derivative,
+    evaluate_perturbed,
     expand_sum_of_D,
     jet_evaluate,
     mixed_derivative,
@@ -351,7 +352,7 @@ def _two_generator_expansion(rng: random.Random) -> Optional[str]:
     x = random_rational(rng)
     shape = Shape((1, 1))
     delta = generator(shape, 0) + generator(shape, 1)
-    lhs = evaluate(f, [constant(shape, x) + delta], lift=lambda c: constant(shape, c))
+    lhs = evaluate_perturbed(f, (x,), shape, ((0, 1),))
     rhs = (
         constant(shape, evaluate(f, [x]))
         + delta * derivative(f, x)

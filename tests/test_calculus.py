@@ -23,7 +23,7 @@ from weiljet.calculus import (
     taylor_sum,
 )
 from weiljet.expression import Add, Const, Div, EvaluationError, Mul, Pow, Var, parse
-from weiljet.multiindex import ArityMismatchError, enumerate_simplex, norm
+from weiljet.multiindex import ArityMismatchError, enumerate_box, enumerate_simplex, factorial, norm
 from weiljet.oracle import oracle_mixed
 from weiljet.suites import random_expr, random_point, random_rational
 from weiljet.weil import Shape, constant, from_coefficients, generator
@@ -326,6 +326,25 @@ def test_taylor_simplex_equals_per_alpha_mixed_derivatives():
             assert table.entries[alpha] == mixed_derivative(f, alpha, x)
             if not quotient:
                 assert table.entries[alpha] == oracle_mixed(f, alpha, x)
+
+
+def test_taylor_tables_are_alpha_factorial_times_the_jet_coefficients():
+    # The tables read their entries straight off the jet's numerators; the
+    # reference asks WeilElement.coefficient, one alpha at a time.
+    rng = random.Random("calculus:read-out")
+    for trial in range(40):
+        n = trial % 5
+        p = random_expr(rng, n, 3)
+        f = Div(p, Add(Const(Fraction(1)), Pow(random_expr(rng, n, 2), 2))) if trial % 3 == 0 else p
+        x = random_point(rng, n)
+        k = tuple(rng.randint(0, 1 if n > 2 else 2) for _ in range(n))
+        for table, shape, alphas in (
+            (taylor_box(f, x, k), Shape(k), enumerate_box(k)),
+            (taylor_simplex(f, x, k), Shape.simplex(n, norm(k)), enumerate_simplex(n, norm(k))),
+        ):
+            jet = jet_evaluate(f, x, shape)
+            assert tuple(table.entries) == alphas
+            assert list(table.entries.values()) == [factorial(a) * jet.coefficient(a) for a in alphas]
 
 
 def test_expand_sum_of_D_matches_nth_derivative():

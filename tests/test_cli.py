@@ -8,6 +8,7 @@ import pytest
 
 from weiljet.cli import main
 from weiljet.errors import int_digit_limit
+from weiljet.expression import MAX_NESTING
 
 GOLDEN_TAYLOR = """\
 mode: box
@@ -237,6 +238,62 @@ def test_taylor_over_the_slot_budget_fails_cleanly(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "over the budget" in err
+
+
+def test_fd_check_overflow_fails_cleanly(capsys):
+    code, out, err = run_cli(["fd-check", "--expr", "x0^2000", "--at", "10", "--wrt", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("weiljet: error:") and "overflows binary64" in err
+
+
+@pytest.mark.parametrize("orders", ["\u00b2", "1,\u00b2"])
+def test_a_non_decimal_digit_in_a_natural_list_is_a_usage_error(capsys, orders):
+    # str.isdigit accepts superscripts, which int() refuses.
+    at = ",".join("1" * len(orders.split(",")))
+    code, out, err = run_cli(["taylor", "--expr", "x0", "--at", at, "--orders", orders], capsys)
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "is not a natural number" in err
+
+
+DEEP = MAX_NESTING + 1000
+
+
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        ("(" * DEEP + "x0" + ")" * DEEP, MAX_NESTING + 1),
+        ("-" * DEEP + "x0", MAX_NESTING + 1),
+        ("-(" * DEEP + "x0" + ")" * DEEP, MAX_NESTING + 1),
+        ("x0 + " + "(" * (MAX_NESTING + 1) + "x0" + ")" * (MAX_NESTING + 1), 5 + MAX_NESTING + 1),
+    ],
+    ids=["parentheses", "minus-signs", "both", "after-a-term"],
+)
+def test_nesting_past_the_limit_is_a_parse_error(capsys, expr, column):
+    code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("weiljet: error:") and f"line 1, column {column}" in err
+    assert f"more than {MAX_NESTING}" in err
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        ("(" * MAX_NESTING + "x0^2" + ")" * MAX_NESTING, "4"),
+        ("-" * MAX_NESTING + "x0^2", "4"),
+        ("-" * (MAX_NESTING - 1) + "x0^2", "-4"),
+        ("-(" * (MAX_NESTING // 2) + "x0^2" + ")" * (MAX_NESTING // 2), "4"),
+        ("(" * MAX_NESTING + "x0" + ")" * MAX_NESTING + " * " + "-" * MAX_NESTING + "x0", "4"),
+    ],
+    ids=["parentheses", "minus-signs", "odd-minus-signs", "both", "side-by-side"],
+)
+def test_nesting_at_the_limit_still_parses(capsys, expr, value):
+    code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 # One past the interpreter's int/str digit cap by 700: 5000 at the default cap.

@@ -141,6 +141,13 @@ def test_parse_matches_the_golden_corpus():
         assert got == (case["error"], case["line"], case["column"], case["expected"]), source
 
 
+def test_non_decimal_digits_are_bad_characters():
+    # str.isdigit accepts superscripts, but only decimal digits make a number.
+    with pytest.raises(ParseError, match="unexpected character '\u00b2'") as info:
+        parse("x0 + \u00b2")
+    assert (info.value.line, info.value.column) == (1, 6)
+
+
 def test_pretty_print_examples():
     assert pretty_print(Var(0)) == "x0"
     assert pretty_print(Mul(Const(3), Var(0))) == "(3 * x0)"
