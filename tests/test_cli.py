@@ -329,10 +329,12 @@ def test_a_literal_over_the_digit_limit_is_a_parse_error(capsys):
 
 
 # stdout of each command, byte for byte, as the package printed it before
-# coefficients were stored fraction-free; every command exits 0.
+# coefficients were stored fraction-free (the fd-check cases: before fd-check
+# refused non-finite values); every command exits 0.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 QUOTIENT = "(x0*x1 - 3/2*x2)^3/(1 + x0^2 + x1*x2) + x0^4*x2"
 TAYLOR = ["taylor", "--expr", QUOTIENT, "--at", "1,2,1", "--orders", "3,3,3"]
+FD_CHECK = ["fd-check", "--expr", "x0^3", "--at", "2", "--wrt", "0", "--h", "1e-4", "--rtol", "1e-6"]
 GOLDEN_CASES = {
     "taylor_box.txt": TAYLOR,
     "taylor_box.json": TAYLOR + ["--format", "json"],
@@ -340,6 +342,8 @@ GOLDEN_CASES = {
     "taylor_simplex.json": TAYLOR + ["--mode", "simplex", "--format", "json"],
     "derive.txt": ["derive", "--expr", "1/(1+x0^2)", "--at", "1/3", "--alpha", "4"],
     "check_all_seed7.json": ["check", "--suite", "all", "--seed", "7", "--format", "json"],
+    "fd_check.txt": FD_CHECK,
+    "fd_check.json": FD_CHECK + ["--format", "json"],
 }
 
 
