@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +375,42 @@ def test_mixed_derivative_agrees_with_every_application_order():
     flat = mixed_derivative(f, alpha, x)
     for order in set(itertools.permutations((0, 0, 1))):
         assert iterated_partial(f, order, x) == flat
+
+
+# Seeded cases with each operator's exact values, recorded before the
+# operators were routed through one derivative read-out: polynomials and
+# quotients p/(1+g^2), arity 0 to 4, zero orders among them.
+OPERATORS = Path(__file__).resolve().parent / "golden" / "operators.json"
+
+
+def _operator_value(case):
+    f = parse(case["expr"])
+    x = case.get("x", [])
+    x = [Fraction(v) for v in x] if isinstance(x, list) else Fraction(x)
+    op = case["op"]
+    if op == "derivative":
+        return str(derivative(f, x))
+    if op == "nth_derivative":
+        return str(nth_derivative(f, case["n"], x))
+    if op == "partial_derivative":
+        return str(partial_derivative(f, case["i"], x))
+    if op == "mixed_derivative":
+        return str(mixed_derivative(f, case["alpha"], x))
+    if op == "iterated_partial":
+        return str(iterated_partial(f, case["applications"], x))
+    if op == "taylor_squarefree":
+        return [[sorted(h), str(v)] for h, v in taylor_squarefree(f, x).items()]
+    if op == "expand_sum_of_D":
+        return [str(v) for v in expand_sum_of_D(f, x, case["m"])]
+    if op == "kl_decompose":
+        g0, b = kl_decompose(f, case["order"])
+        return [str(g0), [str(v) for v in b]]
+    table = {"taylor_box": taylor_box, "taylor_simplex": taylor_simplex}[op](f, x, case["k"])
+    return [[list(alpha), str(table.entries[alpha])] for alpha in table.enumeration()]
+
+
+def test_operators_match_the_golden_values():
+    cases = json.loads(OPERATORS.read_text(encoding="utf-8"))
+    assert len(cases) >= 40
+    for case in cases:
+        assert _operator_value(case) == case["value"], case
