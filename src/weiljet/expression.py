@@ -34,6 +34,7 @@ flattened (reparsing as the substituted expression).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,32 +93,34 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """A node with two operands. Each kind names its printed ``symbol``, its
+    JSON ``tag`` and ``op``, its operation on carrier values; Div has no
+    total one, so it has no ``op`` and evaluation inverts the denominator."""
+
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    symbol, tag, op = "+", "add", operator.add
+
+
+class Sub(_Binary):
+    symbol, tag, op = "-", "sub", operator.sub
+
+
+class Mul(_Binary):
+    symbol, tag, op = "*", "mul", operator.mul
+
+
+class Div(_Binary):
+    symbol, tag, op = "/", "div", None
 
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
 
 
 @dataclass(frozen=True)
@@ -152,7 +155,7 @@ def variables(e: Expr) -> frozenset[int]:
         return frozenset()
     if isinstance(e, Var):
         return frozenset((e.index,))
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, _Binary):
         return variables(e.left) | variables(e.right)
     if isinstance(e, Neg):
         return variables(e.operand)
@@ -350,16 +353,10 @@ def pretty_print(e: Expr) -> str:
         return str(e.value)
     if isinstance(e, Var):
         return f"x{e.index}"
-    if isinstance(e, Add):
-        return f"({pretty_print(e.left)} + {pretty_print(e.right)})"
-    if isinstance(e, Sub):
-        return f"({pretty_print(e.left)} - {pretty_print(e.right)})"
+    if isinstance(e, _Binary):
+        return f"({pretty_print(e.left)} {e.symbol} {pretty_print(e.right)})"
     if isinstance(e, Neg):
         return f"(-{pretty_print(e.operand)})"
-    if isinstance(e, Mul):
-        return f"({pretty_print(e.left)} * {pretty_print(e.right)})"
-    if isinstance(e, Div):
-        return f"({pretty_print(e.left)} / {pretty_print(e.right)})"
     if isinstance(e, Pow):
         return f"({pretty_print(e.base)} ^ {e.exponent})"
     if isinstance(e, Compose):
@@ -383,16 +380,10 @@ def _substitute(e: Expr, subs: tuple[Expr, ...]) -> Expr:
         return e
     if isinstance(e, Var):
         return subs[e.index]
-    if isinstance(e, Add):
-        return Add(_substitute(e.left, subs), _substitute(e.right, subs))
-    if isinstance(e, Sub):
-        return Sub(_substitute(e.left, subs), _substitute(e.right, subs))
+    if isinstance(e, _Binary):
+        return type(e)(_substitute(e.left, subs), _substitute(e.right, subs))
     if isinstance(e, Neg):
         return Neg(_substitute(e.operand, subs))
-    if isinstance(e, Mul):
-        return Mul(_substitute(e.left, subs), _substitute(e.right, subs))
-    if isinstance(e, Div):
-        return Div(_substitute(e.left, subs), _substitute(e.right, subs))
     if isinstance(e, Pow):
         return Pow(_substitute(e.base, subs), e.exponent)
     if isinstance(e, Compose):
@@ -431,21 +422,17 @@ def _evaluate(e: Expr, args, lift, path):
         return lift(e.value)
     if isinstance(e, Var):
         return args[e.index]
-    if isinstance(e, Add):
-        return _evaluate(e.left, args, lift, path + (0,)) + _evaluate(e.right, args, lift, path + (1,))
-    if isinstance(e, Sub):
-        return _evaluate(e.left, args, lift, path + (0,)) - _evaluate(e.right, args, lift, path + (1,))
-    if isinstance(e, Neg):
-        return -_evaluate(e.operand, args, lift, path + (0,))
-    if isinstance(e, Mul):
-        return _evaluate(e.left, args, lift, path + (0,)) * _evaluate(e.right, args, lift, path + (1,))
-    if isinstance(e, Div):
-        num = _evaluate(e.left, args, lift, path + (0,))
-        den = _evaluate(e.right, args, lift, path + (1,))
+    if isinstance(e, _Binary):
+        left = _evaluate(e.left, args, lift, path + (0,))
+        right = _evaluate(e.right, args, lift, path + (1,))
+        if e.op is not None:
+            return e.op(left, right)
         try:
-            return num * _reciprocal(den)
+            return left * _reciprocal(right)
         except (ZeroDivisionError, WeiljetError):
             raise EvaluationError("division by a non-invertible value", path, e) from None
+    if isinstance(e, Neg):
+        return -_evaluate(e.operand, args, lift, path + (0,))
     if isinstance(e, Pow):
         return _evaluate(e.base, args, lift, path + (0,)) ** e.exponent
     if isinstance(e, Compose):
@@ -466,7 +453,7 @@ def _reciprocal(v):
 
 # -- JSON ---------------------------------------------------------------------
 
-_BINARY_OPS = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}
+_BINARY_KINDS = {kind.tag: kind for kind in _Binary.__subclasses__()}
 
 
 def expr_to_json(e: Expr) -> dict:
@@ -475,16 +462,10 @@ def expr_to_json(e: Expr) -> dict:
         return {"op": "const", "num": str(e.value.numerator), "den": str(e.value.denominator)}
     if isinstance(e, Var):
         return {"op": "var", "index": e.index}
-    if isinstance(e, Add):
-        return {"op": "add", "args": [expr_to_json(e.left), expr_to_json(e.right)]}
-    if isinstance(e, Sub):
-        return {"op": "sub", "args": [expr_to_json(e.left), expr_to_json(e.right)]}
+    if isinstance(e, _Binary):
+        return {"op": e.tag, "args": [expr_to_json(e.left), expr_to_json(e.right)]}
     if isinstance(e, Neg):
         return {"op": "neg", "args": [expr_to_json(e.operand)]}
-    if isinstance(e, Mul):
-        return {"op": "mul", "args": [expr_to_json(e.left), expr_to_json(e.right)]}
-    if isinstance(e, Div):
-        return {"op": "div", "args": [expr_to_json(e.left), expr_to_json(e.right)]}
     if isinstance(e, Pow):
         return {"op": "pow", "args": [expr_to_json(e.base)], "exponent": e.exponent}
     if isinstance(e, Compose):
@@ -502,9 +483,9 @@ def expr_from_json(obj) -> Expr:
         return Const(Fraction(int(obj["num"]), int(obj["den"])))
     if op == "var":
         return Var(int(obj["index"]))
-    if op in _BINARY_OPS:
+    if op in _BINARY_KINDS:
         left, right = obj["args"]
-        return _BINARY_OPS[op](expr_from_json(left), expr_from_json(right))
+        return _BINARY_KINDS[op](expr_from_json(left), expr_from_json(right))
     if op == "neg":
         return Neg(expr_from_json(obj["args"][0]))
     if op == "pow":
