@@ -202,6 +202,8 @@ def _cmd_check(args) -> RunReport:
 def _cmd_fd_check(args) -> RunReport:
     if not (math.isfinite(args.h) and args.h > 0):
         raise UsageError(f"--h must be a positive finite step, got {args.h!r}")
+    if not (math.isfinite(args.rtol) and args.rtol >= 0):
+        raise UsageError(f"--rtol must be a nonnegative finite tolerance, got {args.rtol!r}")
     expr = parse(args.expr)
     at = _parse_list(args.at, "--at", _finite_float)
     if not 0 <= args.wrt < len(at):
@@ -210,12 +212,16 @@ def _cmd_fd_check(args) -> RunReport:
     try:
         exact_float = float(exact)
         fd = finite_difference(expr, args.wrt, at, args.h)
+        # A float product can overflow to inf without raising; fd, and with
+        # it the gap, is then inf or nan.
+        abs_gap = abs(exact_float - fd)
+        if not math.isfinite(abs_gap):
+            raise OverflowError
     except OverflowError:
         raise WeiljetError(
             "the derivative or its finite difference overflows binary64 "
             f"(largest float {sys.float_info.max!r})"
         ) from None
-    abs_gap = abs(exact_float - fd)
     rel_gap = abs_gap / max(1.0, abs(exact_float))
     ok = rel_gap <= args.rtol
     lines = [
@@ -303,7 +309,7 @@ def main(argv=None) -> int:
         )
         return EXIT_FAILURE
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(), indent=2, allow_nan=False))
     else:
         for line in report.table_lines:
             print(line)

@@ -211,6 +211,14 @@ def test_fd_check_rejects_a_bad_step(capsys, h):
     assert len(err.strip().splitlines()) == 1 and "--h" in err
 
 
+@pytest.mark.parametrize("rtol", ["nan", "inf", "-1"])
+def test_fd_check_rejects_a_bad_tolerance(capsys, rtol):
+    code, out, err = run_cli(["fd-check", "--expr", "x0^3", "--at", "2", "--wrt", "0", f"--rtol={rtol}"], capsys)
+    assert code == 64
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--rtol" in err
+
+
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1,nan"])
 def test_fd_check_rejects_a_non_finite_point(capsys, at):
     code, out, err = run_cli(["fd-check", "--expr", "x0*x1", f"--at={at}", "--wrt", "0"], capsys)
@@ -240,8 +248,18 @@ def test_taylor_over_the_slot_budget_fails_cleanly(capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "over the budget" in err
 
 
-def test_fd_check_overflow_fails_cleanly(capsys):
-    code, out, err = run_cli(["fd-check", "--expr", "x0^2000", "--at", "10", "--wrt", "0"], capsys)
+# x0^2000 raises OverflowError in the float power; x0*x0*x0 overflows to
+# inf without raising, and its finite difference comes out nan.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--expr", "x0^2000", "--at", "10"],
+        ["--expr", "x0*x0*x0", "--at", "1e120"],
+        ["--expr", "x0*x0*x0", "--at", "1e120", "--format", "json"],
+    ],
+)
+def test_fd_check_overflow_fails_cleanly(capsys, argv):
+    code, out, err = run_cli(["fd-check", *argv, "--wrt", "0"], capsys)
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
