@@ -242,7 +242,6 @@ def _readout(jet: WeilElement, mode: str, orders: MultiIndex) -> dict:
 
 
 def _taylor_table(mode: str, f: Expr, x, k, shape: Shape) -> DerivTable:
-    # One evaluation over the table's own algebra.
     return DerivTable(mode, len(x), k, _readout(jet_evaluate(f, x, shape), mode, k))
 
 

@@ -94,9 +94,9 @@ class Var(Expr):
 
 @dataclass(frozen=True)
 class _Binary(Expr):
-    """A node with two operands. Each kind names its printed ``symbol``, its
-    JSON ``tag`` and ``op``, its operation on carrier values; Div has no
-    total one, so it has no ``op`` and evaluation inverts the denominator."""
+    """A node with two operands. Each kind sets its printed ``symbol``, JSON
+    ``tag`` and carrier operation ``op``; division is partial, so Div's
+    ``op`` is None and evaluation inverts the denominator itself."""
 
     left: Expr
     right: Expr
