@@ -34,6 +34,8 @@ from .oracle import oracle_mixed
 from .weil import Shape, WeilElement, constant, from_coefficients, generator, one, zero
 
 _ONE = Fraction(1)
+_MAX_ARITY = 3
+_MAX_ORDER = 3
 
 
 class UnknownSuiteError(WeiljetError):
@@ -96,11 +98,11 @@ def random_point(rng: random.Random, n: int) -> tuple:
     return tuple(random_rational(rng, span=4, max_den=3) for _ in range(n))
 
 
-def random_shape(rng: random.Random, max_arity: int = 3, max_order: int = 3) -> Shape:
-    n = rng.randint(1, max_arity)
-    orders = [rng.randint(0, max_order) for _ in range(n)]
+def random_shape(rng: random.Random) -> Shape:
+    n = rng.randint(1, _MAX_ARITY)
+    orders = [rng.randint(0, _MAX_ORDER) for _ in range(n)]
     if not any(orders):
-        orders[rng.randrange(n)] = rng.randint(1, max_order)
+        orders[rng.randrange(n)] = rng.randint(1, _MAX_ORDER)
     return Shape(tuple(orders))
 
 

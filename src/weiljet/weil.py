@@ -27,6 +27,10 @@ C(N+n, n) live monomials. Products visit only the live ones; sums and scalar
 multiples run over every slot, which costs little on zero ints. Powers are
 taken by square-and-multiply.
 
+The product of slots p and q lands in slot p + q, since mixed-radix
+positions add while alpha + beta stays in the box, so a shape's plan lists
+for each live p only the q that pair with it.
+
 Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
 larger one raises ``CoefficientBudgetError`` before anything is allocated.
 No box over the budget is computable anyway (its multiplication plan has
@@ -129,7 +133,9 @@ class Shape:
 
     def monomials(self) -> tuple[MultiIndex, ...]:
         """The live monomials (those under the cap), in layout order."""
-        return _live(self.orders, self.degree)[0]
+        orders, strides = self.orders, _strides(self.orders)
+        live = _position_sets(orders)(orders, self.nilpotency_bound())
+        return tuple(tuple(p // s % (k + 1) for k, s in zip(orders, strides)) for p in live)
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -167,36 +173,13 @@ def _strides(orders: MultiIndex) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _live(orders: MultiIndex, degree: Optional[int]):
-    """(live monomials, their layout positions) for a shape's truncation."""
-    if degree is None:
-        box = enumerate_box(orders)
-        return box, range(len(box))
-    # Grown from the most significant coordinate, so positions ascend; the
-    # dense box above the cap is never enumerated.
-    cells = [((), 0, 0)]  # (alpha suffix, position, |alpha suffix|)
-    for k, stride in reversed(tuple(zip(orders, _strides(orders)))):
-        cells = [
-            ((b,) + alpha, p + b * stride, d + b)
-            for alpha, p, d in cells
-            for b in range(min(k, degree - d) + 1)
-        ]
-    return tuple(alpha for alpha, _, _ in cells), tuple(p for _, p, _ in cells)
-
-
-@lru_cache(maxsize=None)
-def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
-    """For each live position p, the pair (p, pairs) listing the (q, r) with
-    slot[p] + slot[q] = slot[r] live.
-
-    Built per coordinate in O(pairs): positions are mixed-radix, so
-    idx(alpha + beta) = idx(alpha) + idx(beta) whenever the sum stays in the
-    box, and r = p + q. For slot[p] = alpha, q runs over the positions of
-    {beta <= k - alpha, |beta| <= cap - |alpha|}, ascending. That set depends
-    on alpha only through its limits and degree room, and it is the union over
-    the last coordinate's value b of a smaller such set shifted by b times
-    that coordinate's stride, so each set is built once from shared parts.
+def _position_sets(orders: MultiIndex):
+    """A memoised ``positions(limits, room)``: the ascending layout positions
+    of {beta <= limits, |beta| <= room} for limits as long as a prefix of
+    ``orders``. Each set is the union over the last coordinate's value b of a
+    smaller set shifted by b strides, so it is built once from shared parts
+    and the dense box above a cap is never visited; the live slots of a shape
+    are ``positions(orders, cap)``.
     """
     strides = _strides(orders)
     memo: dict = {}
@@ -214,12 +197,25 @@ def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
             memo[key] = out
         return out
 
+    return positions
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
+    """For each live position p, the pair (p, qs) listing the positions q
+    with slot[p] + slot[q] live. Their product lands at p + q, because
+    idx(alpha + beta) = idx(alpha) + idx(beta) while the sum stays in the
+    box. For slot[p] = alpha, qs is the memoised position set of
+    {beta <= k - alpha, |beta| <= cap - |alpha|}, shared by every alpha with
+    the same limits and room, so the plan is built in O(pairs).
+    """
+    positions = _position_sets(orders)
+    strides = _strides(orders)
     cap = sum(orders) if degree is None else degree
-    monomials, slots = _live(orders, degree)
     plan = []
-    for p, alpha in zip(slots, monomials):
-        qs = positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))
-        plan.append((p, tuple(zip(qs, map(p.__add__, qs)))))
+    for p in positions(orders, cap):
+        alpha = [p // s % (k + 1) for k, s in zip(orders, strides)]
+        plan.append((p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
     return tuple(plan)
 
 
@@ -332,14 +328,14 @@ class WeilElement:
             a = self._nums
             b = other._nums
             out = [0] * len(a)
-            for p, pairs in _mul_plan(shape.orders, shape.degree):
+            for p, qs in _mul_plan(shape.orders, shape.degree):
                 ca = a[p]
                 if not ca:
                     continue
-                for q, r in pairs:
+                for q in qs:
                     cb = b[q]
                     if cb:
-                        out[r] += ca * cb
+                        out[p + q] += ca * cb
             return _reduced(shape, tuple(out), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             scaled = tuple(map(other.numerator.__mul__, self._nums))
@@ -496,8 +492,7 @@ def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
     shape with generator i removed.
 
     For power = 1 this is first-order coefficient extraction with the
-    remaining generators kept live, which is how iterated derivatives are
-    peeled off one application at a time. A cap N on ``a`` becomes the cap
+    remaining generators kept live. A cap N on ``a`` becomes the cap
     N - power on the result.
     """
     k = a.shape.orders

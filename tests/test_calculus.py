@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb, prod
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,9 @@ from weiljet.calculus import (
     taylor_squarefree,
     taylor_sum,
 )
-from weiljet.expression import Add, Const, Div, EvaluationError, Mul, Pow, Var, parse
+from weiljet.expression import Add, Const, Div, EvaluationError, Mul, Pow, Var, parse, pretty_print
 from weiljet.multiindex import ArityMismatchError, enumerate_box, enumerate_simplex, factorial, norm
-from weiljet.oracle import oracle_mixed
+from weiljet.oracle import oracle_mixed, poly_eval, poly_partial, to_poly
 from weiljet.suites import random_expr, random_point, random_rational
 from weiljet.weil import Shape, constant, from_coefficients, generator
 
@@ -366,6 +367,64 @@ def test_jet_derivatives_agree_with_symbolic_oracle():
         x = random_point(rng, n)
         alpha = tuple(rng.randint(0, 2) for _ in range(n))
         assert mixed_derivative(f, alpha, x) == oracle_mixed(f, alpha, x)
+
+
+def _oracle_partials(poly, x):
+    """beta -> d^beta poly at x, by the oracle's termwise power rule alone."""
+    polys = {(0,) * poly.arity: poly}
+
+    def poly_at(beta):
+        if beta not in polys:
+            i = next(i for i, b in enumerate(beta) if b)
+            polys[beta] = poly_partial(poly_at(beta[:i] + (beta[i] - 1,) + beta[i + 1 :]), i)
+        return polys[beta]
+
+    return lambda beta: poly_eval(poly_at(beta), x)
+
+
+def _assert_quotient_leibniz(p, q, x, values):
+    # T = p/q means p = q*T, so sum over beta <= alpha of
+    # C(alpha, beta) * d^beta q(x) * T[alpha - beta] equals d^alpha p(x). With
+    # q(x) != 0 this triangular system fixes every T[alpha], and the
+    # derivatives of p and q share no code with the jet path.
+    dp, dq = _oracle_partials(to_poly(p, len(x)), x), _oracle_partials(to_poly(q, len(x)), x)
+    for alpha, value in values.items():
+        total = 0
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            rest = tuple(a - b for a, b in zip(alpha, beta))
+            total += prod(map(comb, alpha, beta)) * dq(beta) * values[rest]
+        assert total == dp(alpha), (pretty_print(p), pretty_print(q), x, alpha, value)
+
+
+def _orders_of_total(rng, n, total):
+    k = [0] * n
+    for _ in range(total):
+        k[rng.randrange(n)] += 1
+    return tuple(k)
+
+
+def test_quotient_derivatives_satisfy_leibniz_against_the_oracle():
+    rng = random.Random("calculus:quotient-oracle")
+    instances = 0
+    while instances < 48:
+        n = rng.randint(1, 3)
+        p, q = random_expr(rng, n, 3), random_expr(rng, n, 3)
+        x = random_point(rng, n)
+        if poly_eval(to_poly(q, n), x) == 0:
+            continue  # a pole of p/q
+        f = Div(p, q)
+        for table in (taylor_box, taylor_simplex):
+            _assert_quotient_leibniz(p, q, x, table(f, x, _orders_of_total(rng, n, rng.randint(0, 4))).entries)
+        if instances % 4 == 0:
+            alpha = _orders_of_total(rng, n, rng.randint(1, 4))
+            lower = list(itertools.product(*(range(a + 1) for a in alpha)))
+            _assert_quotient_leibniz(p, q, x, {gamma: mixed_derivative(f, gamma, x) for gamma in lower})
+            values = {}
+            for gamma in lower:
+                applications = [i for i, g in enumerate(gamma) for _ in range(g)]
+                values[gamma] = iterated_partial(f, rng.sample(applications, len(applications)), x)
+            _assert_quotient_leibniz(p, q, x, values)
+        instances += 1
 
 
 def test_mixed_derivative_agrees_with_every_application_order():

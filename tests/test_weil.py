@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weiljet.multiindex import ArityMismatchError, enumerate_box
+from weiljet.multiindex import ArityMismatchError, enumerate_box, enumerate_simplex
 from weiljet.weil import (
     SLOT_BUDGET,
     CoefficientBudgetError,
@@ -308,6 +308,25 @@ def test_shape_cap_normalises():
         Shape((1, 1), -1)
 
 
+def test_monomials_are_the_live_slots_in_layout_order():
+    rng = random.Random("weil:monomials")
+    for _ in range(60):
+        shape = _random_capped_shape(rng)
+        assert shape.monomials() == tuple(alpha for alpha in shape.box() if shape.contains(alpha))
+    s = Shape.simplex(7, 7)
+    tracemalloc.start()
+    try:
+        monomials = s.monomials()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Filtering the dense 8^7 box would peak near 235 MB.
+    assert peak < 4 << 20
+    assert len(monomials) == 3432 and set(monomials) == set(enumerate_simplex(7, 7))
+    positions = [s.index(alpha) for alpha in monomials]
+    assert positions == sorted(set(positions))
+
+
 def test_capped_shape_respects_the_cap():
     s = Shape.simplex(2, 2)
     assert monomial(s, (1, 1)).coefficient((1, 1)) == 1
@@ -339,7 +358,7 @@ def test_mul_plan_matches_brute_force_pairs():
                     pairs.add((q, pos[gamma]))
         plan = _mul_plan(shape.orders, shape.degree)
         assert [p for p, _ in plan] == live
-        assert {p: set(pairs) for p, pairs in plan} == expected
+        assert {p: {(q, p + q) for q in qs} for p, qs in plan} == expected
 
 
 def test_capped_ops_equal_box_ops_then_truncation():
