@@ -364,6 +364,7 @@ GOLDEN_CASES = {
     "check_all_seed7.json": ["check", "--suite", "all", "--seed", "7", "--format", "json"],
     "fd_check.txt": FD_CHECK,
     "fd_check.json": FD_CHECK + ["--format", "json"],
+    "fd_check_quotient.txt": ["fd-check", "--expr", "x0*x1^2 - 1/(2+x0)", "--at", "0.25,1.5", "--wrt", "0"],
 }
 
 
