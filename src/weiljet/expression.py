@@ -96,7 +96,7 @@ class Var(Expr):
 class _Binary(Expr):
     """A node with two operands. Each kind sets its printed ``symbol``, JSON
     ``tag`` and carrier operation ``op``; division is partial, so Div's
-    ``op`` is None and evaluation inverts the denominator itself."""
+    ``op`` is None and evaluation divides itself."""
 
     left: Expr
     right: Expr
@@ -405,9 +405,9 @@ def evaluate(e: Expr, args, lift=None):
     ``lift`` embeds a Fraction constant into the carrier (identity by
     default, so rational arguments need nothing extra; pass ``float`` for
     binary64, or a jet-constant embedding for Weil carriers). Arguments must
-    cover arity(e). Division multiplies by the carrier inverse of the
-    denominator and fails with EvaluationError when that inverse does not
-    exist.
+    cover arity(e). Jets divide by one triangular solve; other carriers
+    multiply by ``1 / right``, so floats keep their bits. Division fails with
+    EvaluationError when the denominator is not invertible.
     """
     args = tuple(args)
     if len(args) < arity(e):
@@ -428,7 +428,7 @@ def _evaluate(e: Expr, args, lift, path):
         if e.op is not None:
             return e.op(left, right)
         try:
-            return left * _reciprocal(right)
+            return left / right if hasattr(right, "invert") else left * (1 / right)
         except (ZeroDivisionError, WeiljetError):
             raise EvaluationError("division by a non-invertible value", path, e) from None
     if isinstance(e, Neg):
@@ -442,13 +442,6 @@ def _evaluate(e: Expr, args, lift, path):
             inner_args[j] = _evaluate(e.substitutions[j], args, lift, path + (1 + j,))
         return _evaluate(e.outer, tuple(inner_args), lift, path + (0,))
     raise TypeError(f"not an Expr node: {e!r}")
-
-
-def _reciprocal(v):
-    invert = getattr(v, "invert", None)
-    if invert is not None:
-        return invert()
-    return 1 / v
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -29,7 +29,9 @@ taken by square-and-multiply.
 
 The product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
-for each live p only the q that pair with it.
+for each live p only the q that pair with it. Division a / b is one
+triangular solve of b * y = a over that plan in layout order, fraction-free
+over |b0|^(L+1) (b0 the constant term, L the nilpotency bound).
 
 Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
 larger one raises ``CoefficientBudgetError`` before anything is allocated.
@@ -133,9 +135,13 @@ class Shape:
 
     def monomials(self) -> tuple[MultiIndex, ...]:
         """The live monomials (those under the cap), in layout order."""
+        return tuple(alpha for _, alpha in self._live())
+
+    def _live(self):
+        """(position, alpha) for each live monomial, in layout order."""
         orders, strides = self.orders, _strides(self.orders)
-        live = _position_sets(orders)(orders, self.nilpotency_bound())
-        return tuple(tuple(p // s % (k + 1) for k, s in zip(orders, strides)) for p in live)
+        for p in _position_sets(orders)(orders, self.nilpotency_bound()):
+            yield p, tuple(p // s % (k + 1) for k, s in zip(orders, strides))
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -348,13 +354,14 @@ class WeilElement:
         return NotImplemented
 
     def __truediv__(self, other):
+        """By a scalar, or by a unit: the y with other * y == self, solved."""
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division of a jet by scalar zero")
             return self * (_ONE / c)
         if isinstance(other, WeilElement):
-            return self * other.invert()
+            return _solve(other, self)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -394,28 +401,17 @@ class WeilElement:
 
     def invert(self) -> "WeilElement":
         """Exact multiplicative inverse; requires a nonzero constant term.
+        It is ``one(shape) / self``, the same triangular solve."""
+        return _solve(self, one(self._shape))
 
-        Writes the element as c * (1 + eps) with eps nilpotent and sums the
-        terminating geometric series sum_j (-eps)^j / c.
-        """
-        c = self.constant_term()
-        if c == 0:
-            raise NonInvertibleError("element with zero constant term has no inverse")
-        neg_eps = one(self._shape) - self * (_ONE / c)
-        acc = one(self._shape)
-        term = one(self._shape)
-        for _ in range(self._shape.nilpotency_bound()):
-            term = term * neg_eps
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc * (_ONE / c)
+    def _terms(self) -> list:
+        """(alpha, coefficient) for each nonzero coefficient, in layout order."""
+        nums, den = self._nums, self._den
+        return [(alpha, Fraction(nums[p], den)) for p, alpha in self._shape._live() if nums[p]]
 
     def __str__(self) -> str:
         parts = []
-        for alpha, c in zip(self._shape.box(), self.coeffs):
-            if not c:
-                continue
+        for alpha, c in self._terms():
             mono = "*".join(
                 f"d{i}" if e == 1 else f"d{i}^{e}" for i, e in enumerate(alpha) if e
             )
@@ -426,6 +422,30 @@ class WeilElement:
             else:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts) if parts else "0"
+
+
+def _solve(b: WeilElement, a: WeilElement) -> WeilElement:
+    """The y with b * y == a, for b with a nonzero constant term b0. Over
+    numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no denominator
+    above b0^(L+1), L the nilpotency bound). In layout order each Z[q] is its
+    accumulator over b0, exactly; Z[q] * B[p] then leaves every later slot
+    q + p. y is Z * b.den over |b0|^(L+1) * a.den."""
+    a._require_same_shape(b)
+    shape = a._shape
+    b0 = b._nums[0]
+    if not b0:
+        raise NonInvertibleError("element with zero constant term is not invertible")
+    scale = abs(b0) ** (shape.nilpotency_bound() + 1)
+    acc = [n * scale for n in a._nums]
+    off_diagonal = (0,) + b._nums[1:]
+    for q, ps in _mul_plan(shape.orders, shape.degree):
+        z = acc[q] = acc[q] // b0
+        if z:
+            for p in ps:
+                cb = off_diagonal[p]
+                if cb:
+                    acc[q + p] -= cb * z
+    return _reduced(shape, tuple(map(b._den.__mul__, acc)), scale * a._den)
 
 
 def zero(shape: Shape) -> WeilElement:
@@ -513,10 +533,7 @@ def rational_to_json(c: Fraction) -> dict:
 def element_to_json(a: WeilElement) -> dict:
     """JSON form: orders, the cap of a capped shape, and the nonzero
     coefficients in layout order."""
-    coeffs = []
-    for alpha, c in zip(a.shape.box(), a.coeffs):
-        if c:
-            coeffs.append({"alpha": list(alpha), "num": str(c.numerator), "den": str(c.denominator)})
+    coeffs = [{"alpha": list(alpha), "num": str(c.numerator), "den": str(c.denominator)} for alpha, c in a._terms()]
     doc = {"orders": list(a.shape.orders)}
     if a.shape.degree is not None:
         doc["degree"] = a.shape.degree

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljet.expression import EvaluationError, evaluate, parse, pretty_print
 from weiljet.multiindex import ArityMismatchError, enumerate_box, enumerate_simplex
 from weiljet.weil import (
     SLOT_BUDGET,
@@ -398,6 +399,22 @@ def test_capped_json_roundtrip():
     assert doc == {"orders": [1, 1], "degree": 1, "coeffs": [{"alpha": [0, 1], "num": "1", "den": "1"}]}
 
 
+def test_printing_a_capped_element_walks_only_live_monomials():
+    s = Shape.simplex(6, 6)
+    a = one(s) + generator(s, 0)
+    tracemalloc.start()
+    try:
+        doc, text = element_to_json(a), str(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Walking the dense 7^6 box filled the enumerate_box cache with 11.7 MB.
+    assert peak < 2 << 20
+    ones = {"num": "1", "den": "1"}
+    assert doc == {"orders": [6] * 6, "degree": 6, "coeffs": [{"alpha": [0] * 6, **ones}, {"alpha": [1] + [0] * 5, **ones}]}
+    assert text == "1 + d0"
+
+
 def test_slice_coefficient_lowers_the_cap():
     s = Shape.simplex(3, 3)
     a = (one(s) + generator(s, 0) + generator(s, 1) * 2 + generator(s, 2)) ** 3
@@ -492,6 +509,60 @@ def test_kernel_ops_equal_a_fraction_reference():
         else:
             with pytest.raises(NonInvertibleError):
                 b.invert()
+
+
+# -- Division -------------------------------------------------------------------
+
+
+def test_division_by_a_non_unit_raises_directly():
+    for shape in (Shape((2, 1)), Shape.simplex(3, 2), Shape(())):
+        a = one(shape) + (generator(shape, 0) if shape.arity else zero(shape))
+        for b in (zero(shape), *(generator(shape, i) * 3 for i in range(shape.arity))):
+            with pytest.raises(NonInvertibleError):
+                a / b
+            with pytest.raises(NonInvertibleError):
+                b.invert()
+    with pytest.raises(ShapeMismatchError):
+        one(Shape((1,))) / one(Shape((2,)))
+
+
+def test_evaluate_reports_a_jet_pole_with_its_path():
+    s = Shape((2, 1))
+    x = (constant(s, 2) + generator(s, 0), constant(s, 1) + generator(s, 1))
+    with pytest.raises(EvaluationError) as info:
+        evaluate(parse("x1 + x0*(1 + 1/(x0 - 2))"), x, lambda c: constant(s, c))
+    assert info.value.path == (1, 1, 1)
+    assert pretty_print(info.value.subexpr) == "(1 / (x0 - 2))"
+    assert evaluate(parse("x1 / (x0 - 1)"), x, lambda c: constant(s, c)) == x[1] / (x[0] - one(s))
+
+
+def test_invert_is_division_of_one():
+    rng = random.Random("weil:invert-is-division")
+    for _ in range(40):
+        shape = _random_capped_shape(rng)
+        b = _kernel_element(rng, shape)
+        if b.constant_term():
+            assert b.invert() == one(shape) / b
+
+
+# Constant terms of the denominators: signs, fractions, and sizes past 2^61.
+_DIVISOR_CONSTANTS = (1, -1, 3, Fraction(-7, 2), 2**61 - 1, -(2**64 + 13), Fraction(2**62 + 3, -5))
+
+
+def test_division_by_constant_sparse_and_linear_denominators_inverts_the_product():
+    rng = random.Random("weil:division")
+    shapes = (Shape((3,)), Shape((2, 2)), Shape((1, 1, 1, 1)), Shape.simplex(3, 3), Shape((3, 2, 1), 3))
+    for shape in shapes:
+        g = sum((generator(shape, i) * rng.randint(-3, 3) for i in range(shape.arity)), zero(shape))
+        for b0 in _DIVISOR_CONSTANTS:
+            c = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 2**61 - 1)))
+            by_constant = constant(shape, b0)
+            for b in (by_constant, by_constant + c * g * g, by_constant + g):
+                a = _kernel_element(rng, shape)
+                quotient = a / b
+                _assert_canonical(quotient)
+                assert _ref_mul(shape, quotient.coeffs, b.coeffs) == a.coeffs
+            assert a / by_constant == a / b0
 
 
 def test_equal_values_are_equal_elements_however_built():
