@@ -533,7 +533,7 @@ def rational_to_json(c: Fraction) -> dict:
 def element_to_json(a: WeilElement) -> dict:
     """JSON form: orders, the cap of a capped shape, and the nonzero
     coefficients in layout order."""
-    coeffs = [{"alpha": list(alpha), "num": str(c.numerator), "den": str(c.denominator)} for alpha, c in a._terms()]
+    coeffs = [{"alpha": list(alpha), **rational_to_json(c)} for alpha, c in a._terms()]
     doc = {"orders": list(a.shape.orders)}
     if a.shape.degree is not None:
         doc["degree"] = a.shape.degree

@@ -410,8 +410,8 @@ def test_printing_a_capped_element_walks_only_live_monomials():
         tracemalloc.stop()
     # Walking the dense 7^6 box filled the enumerate_box cache with 11.7 MB.
     assert peak < 2 << 20
-    ones = {"num": "1", "den": "1"}
-    assert doc == {"orders": [6] * 6, "degree": 6, "coeffs": [{"alpha": [0] * 6, **ones}, {"alpha": [1] + [0] * 5, **ones}]}
+    coeffs = [{"alpha": alpha, "num": "1", "den": "1"} for alpha in ([0] * 6, [1] + [0] * 5)]
+    assert doc == {"orders": [6] * 6, "degree": 6, "coeffs": coeffs}
     assert text == "1 + d0"
 
 
