@@ -29,9 +29,10 @@ taken by square-and-multiply.
 
 The product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
-for each live p only the q that pair with it. Division a / b is one
-triangular solve of b * y = a over that plan in layout order, fraction-free
-over |b0|^(L+1) (b0 the constant term, L the nilpotency bound).
+for each live p only the q that pair with it. Division a / b is
+``b.invert(a)``: one triangular solve of b * y = a over that plan in layout
+order, fraction-free over |b0|^(L+1) (b0 the constant term, L the
+nilpotency bound).
 
 Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
 larger one raises ``CoefficientBudgetError`` before anything is allocated.
@@ -354,14 +355,14 @@ class WeilElement:
         return NotImplemented
 
     def __truediv__(self, other):
-        """By a scalar, or by a unit: the y with other * y == self, solved."""
+        """By a scalar, or by a unit: ``other.invert(self)``, one solve."""
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division of a jet by scalar zero")
             return self * (_ONE / c)
         if isinstance(other, WeilElement):
-            return _solve(other, self)
+            return other.invert(self)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -399,10 +400,30 @@ class WeilElement:
             raise ValueError("nilpotency order must be a natural")
         return (self ** (m + 1)).is_zero()
 
-    def invert(self) -> "WeilElement":
-        """Exact multiplicative inverse; requires a nonzero constant term.
-        It is ``one(shape) / self``, the same triangular solve."""
-        return _solve(self, one(self._shape))
+    def invert(self, numerator: "WeilElement | None" = None) -> "WeilElement":
+        """The y with self * y == numerator (one by default), for self with a
+        nonzero constant term b0: ``a / b`` is ``b.invert(a)``. Over
+        numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no
+        denominator above b0^(L+1), L the nilpotency bound). In layout order
+        each Z[q] is its accumulator over b0, exactly; Z[q] * B[p] then
+        leaves every later slot q + p. y is Z * b.den over |b0|^(L+1) * a.den."""
+        a = one(self._shape) if numerator is None else numerator
+        a._require_same_shape(self)
+        shape = a._shape
+        b0 = self._nums[0]
+        if not b0:
+            raise NonInvertibleError("element with zero constant term is not invertible")
+        scale = abs(b0) ** (shape.nilpotency_bound() + 1)
+        acc = [n * scale for n in a._nums]
+        off_diagonal = (0,) + self._nums[1:]
+        for q, ps in _mul_plan(shape.orders, shape.degree):
+            z = acc[q] = acc[q] // b0
+            if z:
+                for p in ps:
+                    cb = off_diagonal[p]
+                    if cb:
+                        acc[q + p] -= cb * z
+        return _reduced(shape, tuple(map(self._den.__mul__, acc)), scale * a._den)
 
     def _terms(self) -> list:
         """(alpha, coefficient) for each nonzero coefficient, in layout order."""
@@ -422,30 +443,6 @@ class WeilElement:
             else:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts) if parts else "0"
-
-
-def _solve(b: WeilElement, a: WeilElement) -> WeilElement:
-    """The y with b * y == a, for b with a nonzero constant term b0. Over
-    numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no denominator
-    above b0^(L+1), L the nilpotency bound). In layout order each Z[q] is its
-    accumulator over b0, exactly; Z[q] * B[p] then leaves every later slot
-    q + p. y is Z * b.den over |b0|^(L+1) * a.den."""
-    a._require_same_shape(b)
-    shape = a._shape
-    b0 = b._nums[0]
-    if not b0:
-        raise NonInvertibleError("element with zero constant term is not invertible")
-    scale = abs(b0) ** (shape.nilpotency_bound() + 1)
-    acc = [n * scale for n in a._nums]
-    off_diagonal = (0,) + b._nums[1:]
-    for q, ps in _mul_plan(shape.orders, shape.degree):
-        z = acc[q] = acc[q] // b0
-        if z:
-            for p in ps:
-                cb = off_diagonal[p]
-                if cb:
-                    acc[q + p] -= cb * z
-    return _reduced(shape, tuple(map(b._den.__mul__, acc)), scale * a._den)
 
 
 def zero(shape: Shape) -> WeilElement:

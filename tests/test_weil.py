@@ -479,9 +479,13 @@ def _assert_canonical(a: WeilElement) -> None:
     assert a.coeffs == tuple(Fraction(n, a.den) for n in a.nums)
 
 
+# Constant terms of the chosen denominators: signs, fractions, sizes past 2^61.
+_DIVISOR_CONSTANTS = (1, -1, 3, Fraction(-7, 2), 2**61 - 1, -(2**64 + 13), Fraction(2**62 + 3, -5))
+
+
 def test_kernel_ops_equal_a_fraction_reference():
     rng = random.Random("weil:fraction-free")
-    for _ in range(80):
+    for i in range(80):
         shape = _random_capped_shape(rng)
         a, b = _kernel_element(rng, shape), _kernel_element(rng, shape)
         c = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 10007, 2**61 - 1)))
@@ -503,12 +507,20 @@ def test_kernel_ops_equal_a_fraction_reference():
             inverse = b.invert()
             _assert_canonical(inverse)
             assert _ref_mul(shape, b.coeffs, inverse.coeffs) == one_coeffs
-            quotient = a / b
-            _assert_canonical(quotient)
-            assert _ref_mul(shape, quotient.coeffs, b.coeffs) == a.coeffs
         else:
             with pytest.raises(NonInvertibleError):
                 b.invert()
+        # Besides b: a constant, a sparse b0 + c*g^2 and a linear b0 + g.
+        b0 = _DIVISOR_CONSTANTS[i % len(_DIVISOR_CONSTANTS)]
+        axes = [j for j, k in enumerate(shape.orders) if k]
+        g = sum((generator(shape, j) * rng.randint(-3, 3) for j in axes), zero(shape))
+        by_constant = constant(shape, b0)
+        assert a / by_constant == a / b0
+        for d in (b, by_constant, by_constant + c * g * g, by_constant + g):
+            if d.constant_term():
+                quotient = a / d
+                _assert_canonical(quotient)
+                assert _ref_mul(shape, quotient.coeffs, d.coeffs) == a.coeffs
 
 
 # -- Division -------------------------------------------------------------------
@@ -534,35 +546,6 @@ def test_evaluate_reports_a_jet_pole_with_its_path():
     assert info.value.path == (1, 1, 1)
     assert pretty_print(info.value.subexpr) == "(1 / (x0 - 2))"
     assert evaluate(parse("x1 / (x0 - 1)"), x, lambda c: constant(s, c)) == x[1] / (x[0] - one(s))
-
-
-def test_invert_is_division_of_one():
-    rng = random.Random("weil:invert-is-division")
-    for _ in range(40):
-        shape = _random_capped_shape(rng)
-        b = _kernel_element(rng, shape)
-        if b.constant_term():
-            assert b.invert() == one(shape) / b
-
-
-# Constant terms of the denominators: signs, fractions, and sizes past 2^61.
-_DIVISOR_CONSTANTS = (1, -1, 3, Fraction(-7, 2), 2**61 - 1, -(2**64 + 13), Fraction(2**62 + 3, -5))
-
-
-def test_division_by_constant_sparse_and_linear_denominators_inverts_the_product():
-    rng = random.Random("weil:division")
-    shapes = (Shape((3,)), Shape((2, 2)), Shape((1, 1, 1, 1)), Shape.simplex(3, 3), Shape((3, 2, 1), 3))
-    for shape in shapes:
-        g = sum((generator(shape, i) * rng.randint(-3, 3) for i in range(shape.arity)), zero(shape))
-        for b0 in _DIVISOR_CONSTANTS:
-            c = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 2**61 - 1)))
-            by_constant = constant(shape, b0)
-            for b in (by_constant, by_constant + c * g * g, by_constant + g):
-                a = _kernel_element(rng, shape)
-                quotient = a / b
-                _assert_canonical(quotient)
-                assert _ref_mul(shape, quotient.coeffs, b.coeffs) == a.coeffs
-            assert a / by_constant == a / b0
 
 
 def test_equal_values_are_equal_elements_however_built():
