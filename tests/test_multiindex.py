@@ -15,6 +15,47 @@ from weiljet.multiindex import (
     norm,
 )
 
+def _divmod_box(k):
+    # Reference copy of the original enumerate_box: position p decoded by
+    # repeated divmod, first component least significant.
+    total = 1
+    for ki in k:
+        total *= ki + 1
+    out = []
+    for code in range(total):
+        alpha = []
+        for ki in k:
+            code, digit = divmod(code, ki + 1)
+            alpha.append(digit)
+        out.append(tuple(alpha))
+    return tuple(out)
+
+
+def _compositions(n, total):
+    # Reference copy of the original simplex recursion: every alpha with
+    # |alpha| == total, first component decreasing (lexicographically
+    # decreasing).
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    if n == 1:
+        yield (total,)
+        return
+    for rest in range(total + 1):
+        for tail in _compositions(n - 1, rest):
+            yield (total - rest,) + tail
+
+
+def _reference_simplex(n, bound):
+    out = []
+    for total in range(bound + 1):
+        out.extend(_compositions(n, total))
+        if n == 0:
+            break
+    return tuple(out)
+
+
 indices = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=4).map(tuple)
 
 
@@ -71,6 +112,7 @@ def test_enumerate_box_exhaustive_counts_and_uniqueness():
             assert len(box) == expected
             assert len(set(box)) == len(box)
             assert all(leq(alpha, k) for alpha in box)
+            assert box == _divmod_box(k)
 
 
 def test_box_index_matches_position():
@@ -81,6 +123,8 @@ def test_box_index_matches_position():
 
 def test_enumerate_simplex_examples():
     assert enumerate_simplex(2, 1) == ((0, 0), (1, 0), (0, 1))
+    # Lexicographically decreasing within a degree: (1,0,1) before (0,2,0).
+    assert enumerate_simplex(3, 2)[4:] == ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
     assert enumerate_simplex(1, 3) == ((0,), (1,), (2,), (3,))
 
 
@@ -98,6 +142,7 @@ def test_enumerate_simplex_count_is_binomial(n, bound):
     assert len(listed) == math.comb(bound + n, n)
     assert len(set(listed)) == len(listed)
     assert all(len(alpha) == n and sum(alpha) <= bound for alpha in listed)
+    assert listed == _reference_simplex(n, bound)
 
 
 @given(indices)
