@@ -1,22 +1,29 @@
 """Multi-index bookkeeping: exponent tuples, their norm and factorial, the
-componentwise partial order, and the two enumeration sets used by truncated
-Taylor expansions (the box {alpha <= k} and the simplex {|alpha| <= N}).
+componentwise partial order, the mixed-radix layout of a box, and the two
+enumeration sets used by truncated Taylor expansions (the box {alpha <= k}
+and the simplex {|alpha| <= N}).
 
-A multi-index is a plain tuple of naturals. Enumeration order is fixed so
-that tables and serialized output are reproducible byte for byte:
+A multi-index is a plain tuple of naturals. ``Layout`` places the box
+{alpha <= k} at the mixed-radix positions ``idx(alpha) = sum_i alpha_i *
+prod_{j<i} (k_j + 1)``, the first component least significant. It owns the
+strides, the position -> alpha decoder and the one enumerator of the
+positions of {beta <= limits, |beta| <= room}; the box, the simplex, the
+live slots of a ``weil.Shape`` and its multiplication plan's rows all come
+from it.
+Enumeration order is fixed so that tables and serialized output are
+reproducible byte for byte:
 
-* ``enumerate_box`` is colexicographic, i.e. increasing mixed-radix index
-  ``idx(alpha) = sum_i alpha_i * prod_{j<i} (k_j + 1)`` with the first
-  component as the least significant digit.
-* ``enumerate_simplex`` is graded by total degree, colexicographic within
-  each degree.
+* ``enumerate_box`` is colexicographic, i.e. increasing position.
+* ``enumerate_simplex`` is graded by total degree, lexicographically
+  decreasing within each degree: (1,0,1) comes before (0,2,0).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
-from typing import Iterator
+from itertools import accumulate
 
 from .errors import WeiljetError
 
@@ -43,10 +50,7 @@ def norm(alpha: MultiIndex) -> int:
 
 def factorial(alpha: MultiIndex) -> int:
     """alpha!, the product of entrywise factorials (1 for the empty index)."""
-    out = 1
-    for p in alpha:
-        out *= math.factorial(p)
-    return out
+    return math.prod(map(math.factorial, alpha))
 
 
 def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
@@ -58,61 +62,79 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return all(a <= b for a, b in zip(alpha, beta))
 
 
+class Layout:
+    """The mixed-radix layout of the box {alpha <= orders}, with alpha at
+    position ``sum_i alpha_i * strides[i]``. Every index set of the package
+    is a set of these positions, listed by ``positions`` and read back by
+    ``decode``; ``layout`` keeps one per orders.
+    """
+
+    def __init__(self, orders: MultiIndex):
+        self.orders = orders
+        radices = [k + 1 for k in orders]
+        self.strides = tuple(accumulate(radices, operator.mul, initial=1))[:-1]
+        self._radix = tuple(zip(self.strides, radices))
+        self._memo: dict = {}
+
+    def index(self, alpha: MultiIndex) -> int:
+        """Position of alpha."""
+        return sum(map(operator.mul, alpha, self.strides))
+
+    def decode(self, p: int) -> MultiIndex:
+        """The alpha at position p."""
+        return tuple([p // s % r for s, r in self._radix])
+
+    def positions(self, limits: MultiIndex, room: int) -> list:
+        """The ascending positions of {beta <= limits, |beta| <= room}, for
+        limits as long as a prefix of the orders. Each set is the union over
+        the last coordinate's value b of a smaller set shifted by b strides,
+        so it is built once from shared parts and the box above a cap is
+        never visited. Sets are memoised and shared; do not mutate them.
+        """
+        room = min(room, sum(limits))
+        key = (limits, room)
+        out = self._memo.get(key)
+        if out is None:
+            if not limits:
+                out = [0]
+            else:
+                s, head = self.strides[len(limits) - 1], limits[:-1]
+                out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in self.positions(head, room - b)]
+            self._memo[key] = out
+        return out
+
+
+@lru_cache(maxsize=None)
+def layout(orders: MultiIndex) -> Layout:
+    """The one ``Layout`` of the box {alpha <= orders}."""
+    return Layout(orders)
+
+
 @lru_cache(maxsize=None)
 def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
-    """All alpha <= k in colexicographic order; length prod_i (k_i + 1).
+    """All alpha <= k in colexicographic order (increasing position); length
+    prod_i (k_i + 1).
 
     Arity 0 yields the single empty index.
     """
     k = as_multiindex(k)
-    if not k:
-        return ((),)
-    total = 1
-    for ki in k:
-        total *= ki + 1
-    out = []
-    for code in range(total):
-        alpha = []
-        for ki in k:
-            code, digit = divmod(code, ki + 1)
-            alpha.append(digit)
-        out.append(tuple(alpha))
-    return tuple(out)
+    lay = layout(k)
+    return tuple(map(lay.decode, lay.positions(k, sum(k))))
 
 
 def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
     """Position of alpha in enumerate_box(k): the mixed-radix encoding."""
-    idx = 0
-    stride = 1
-    for ai, ki in zip(alpha, k):
-        idx += ai * stride
-        stride *= ki + 1
-    return idx
-
-
-def _compositions(n: int, total: int) -> Iterator[MultiIndex]:
-    # All alpha in N^n with |alpha| == total, colexicographic.
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (total,)
-        return
-    for rest in range(total + 1):
-        for tail in _compositions(n - 1, rest):
-            yield (total - rest,) + tail
+    return layout(tuple(k)).index(alpha)
 
 
 @lru_cache(maxsize=None)
 def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:
-    """All alpha in N^n with |alpha| <= bound, graded by degree then colex.
+    """All alpha in N^n with |alpha| <= bound, graded by degree and
+    lexicographically decreasing within each degree.
 
     Length is C(bound + n, n).
     """
-    out = []
-    for total in range(bound + 1):
-        out.extend(_compositions(n, total))
-        if n == 0:
-            break
-    return tuple(out)
+    orders = (bound,) * n
+    lay = layout(orders)
+    # Descending by (-degree, alpha) is ascending degree, then alpha descending.
+    return tuple(sorted(map(lay.decode, lay.positions(orders, bound)), key=lambda a: (-sum(a), a), reverse=True))

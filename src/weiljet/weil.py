@@ -18,12 +18,12 @@ lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep after every
 operation. The ring operations thus run on ints only, each value has one
 form, and every identity the package checks is an exact equality, never an
 approximation; ``WeilElement.coeffs`` presents the slots as ``Fraction``s.
-Numerators are stored densely in ``enumerate_box`` order (mixed-radix
-position ``sum_i alpha_i * prod_{j<i} (k_j + 1)``); shapes stay small in
-practice, and density keeps indexing trivial and output reproducible. A
-capped shape keeps this layout over its orders, with the slots above the cap
-always zero, so ``Shape.simplex(n, N)`` allocates (N+1)^n slots for its
-C(N+n, n) live monomials. Products visit only the live ones; sums and scalar
+Numerators are stored densely in the mixed-radix layout of the box over the
+orders, ``multiindex.layout(orders)``, which also lists the live slots and
+the plan rows; shapes stay small in practice, and density keeps indexing
+trivial and output reproducible. A capped shape keeps this layout over its
+orders, with the slots above the cap always zero, so ``Shape.simplex(n, N)``
+allocates (N+1)^n slots for its C(N+n, n) live monomials. Products visit only the live ones; sums and scalar
 multiples run over every slot, which costs little on zero ints. Powers are
 taken by square-and-multiply.
 
@@ -52,12 +52,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from . import multiindex
 from .errors import WeiljetError
-from .multiindex import MultiIndex, as_multiindex, enumerate_box
+from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
 
 Rational = Fraction
 
@@ -140,9 +140,9 @@ class Shape:
 
     def _live(self):
         """(position, alpha) for each live monomial, in layout order."""
-        orders, strides = self.orders, _strides(self.orders)
-        for p in _position_sets(orders)(orders, self.nilpotency_bound()):
-            yield p, tuple(p // s % (k + 1) for k, s in zip(orders, strides))
+        lay = layout(self.orders)
+        for p in lay.positions(self.orders, self.nilpotency_bound()):
+            yield p, lay.decode(p)
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -153,13 +153,10 @@ class Shape:
         )
 
     def size(self) -> int:
-        out = 1
-        for ki in self.orders:
-            out *= ki + 1
-        return out
+        return prod(k + 1 for k in self.orders)
 
     def index(self, alpha: MultiIndex) -> int:
-        return multiindex.box_index(self.orders, alpha)
+        return layout(self.orders).index(alpha)
 
     def nilpotency_bound(self) -> int:
         # Any element with zero constant term is killed by this power plus one.
@@ -168,43 +165,6 @@ class Shape:
     def __str__(self) -> str:
         box = "(" + ",".join(str(k) for k in self.orders) + ")"
         return box if self.degree is None else f"{box} deg<={self.degree}"
-
-
-def _strides(orders: MultiIndex) -> list[int]:
-    """Layout stride of each coordinate: prod_{j<i} (k_j + 1)."""
-    out = []
-    stride = 1
-    for k in orders:
-        out.append(stride)
-        stride *= k + 1
-    return out
-
-
-def _position_sets(orders: MultiIndex):
-    """A memoised ``positions(limits, room)``: the ascending layout positions
-    of {beta <= limits, |beta| <= room} for limits as long as a prefix of
-    ``orders``. Each set is the union over the last coordinate's value b of a
-    smaller set shifted by b strides, so it is built once from shared parts
-    and the dense box above a cap is never visited; the live slots of a shape
-    are ``positions(orders, cap)``.
-    """
-    strides = _strides(orders)
-    memo: dict = {}
-
-    def positions(limits: MultiIndex, room: int) -> list:
-        room = min(room, sum(limits))
-        key = (limits, room)
-        out = memo.get(key)
-        if out is None:
-            if not limits:
-                out = [0]
-            else:
-                s, head = strides[len(limits) - 1], limits[:-1]
-                out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in positions(head, room - b)]
-            memo[key] = out
-        return out
-
-    return positions
 
 
 @lru_cache(maxsize=None)
@@ -216,13 +176,12 @@ def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
     {beta <= k - alpha, |beta| <= cap - |alpha|}, shared by every alpha with
     the same limits and room, so the plan is built in O(pairs).
     """
-    positions = _position_sets(orders)
-    strides = _strides(orders)
+    lay = layout(orders)
     cap = sum(orders) if degree is None else degree
     plan = []
-    for p in positions(orders, cap):
-        alpha = [p // s % (k + 1) for k, s in zip(orders, strides)]
-        plan.append((p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
+    for p in lay.positions(orders, cap):
+        alpha = lay.decode(p)
+        plan.append((p, lay.positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
     return tuple(plan)
 
 
@@ -478,7 +437,7 @@ def generator(shape: Shape, i: int) -> WeilElement:
         raise DegenerateGeneratorError(
             f"generator d{i} is identically zero in shape {shape}"
         )
-    return _unit(shape, _strides(shape.orders)[i])
+    return _unit(shape, layout(shape.orders).strides[i])
 
 
 def monomial(shape: Shape, alpha) -> WeilElement:
