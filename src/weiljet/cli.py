@@ -29,7 +29,7 @@ from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, 
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
 from .oracle import finite_difference
-from .suites import SuiteConfig, UnknownSuiteError, run_suites, suite_names
+from .suites import SuiteConfig, run_suites, suite_names
 from .weil import rational_to_json
 
 EXIT_OK = 0
@@ -176,10 +176,7 @@ def _cmd_check(args) -> RunReport:
     if args.instances < 0:
         raise UsageError(f"--instances must be a natural number, got {args.instances}")
     config = SuiteConfig(instances=args.instances, seed=seed)
-    try:
-        results = run_suites(names, config)
-    except UnknownSuiteError as exc:
-        raise UsageError(str(exc)) from None
+    results = run_suites(names, config)
     all_passed = all(r.passed for r in results)
     lines = []
     width = max(len(r.name) for r in results)

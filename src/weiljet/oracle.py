@@ -157,10 +157,11 @@ def oracle_mixed(e: Expr, alpha: MultiIndex, x) -> Fraction:
     """Mixed derivative by iterated termwise power rule, evaluated at x."""
     alpha = as_multiindex(alpha)
     x = tuple(Fraction(v) for v in x)
-    if len(x) < arity(e):
-        raise ValueError(f"need {arity(e)} coordinates, got {len(x)}")
-    n = max(arity(e), len(alpha), len(x))
-    p = to_poly(e, n)
+    n_e = arity(e)
+    if len(x) < n_e:
+        raise ValueError(f"need {n_e} coordinates, got {len(x)}")
+    n = max(len(alpha), len(x))
+    p = _to_poly(e, n)
     for i, times in enumerate(alpha):
         for _ in range(times):
             p = poly_partial(p, i)
