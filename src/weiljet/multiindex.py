@@ -50,7 +50,10 @@ def norm(alpha: MultiIndex) -> int:
 
 def factorial(alpha: MultiIndex) -> int:
     """alpha!, the product of entrywise factorials (1 for the empty index)."""
-    return math.prod(map(math.factorial, alpha))
+    out = 1
+    for p in alpha:
+        out *= math.factorial(p)
+    return out
 
 
 def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
@@ -63,22 +66,19 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
 
 
 class Layout:
-    """The mixed-radix layout of the box {alpha <= orders}, with alpha at
-    position ``sum_i alpha_i * strides[i]``. Every index set of the package
-    is a set of these positions, listed by ``positions`` and read back by
-    ``decode``; ``layout`` keeps one per orders.
+    """The mixed-radix layout of the box {alpha <= orders}: ``size`` slots,
+    with alpha at ``box_index(orders, alpha) = sum_i alpha_i * strides[i]``.
+    Every index set of the package is a set of these positions, listed by
+    ``positions`` and read back by ``decode``; ``layout`` keeps one per
+    orders.
     """
 
     def __init__(self, orders: MultiIndex):
-        self.orders = orders
         radices = [k + 1 for k in orders]
-        self.strides = tuple(accumulate(radices, operator.mul, initial=1))[:-1]
-        self._radix = tuple(zip(self.strides, radices))
+        *strides, self.size = accumulate(radices, operator.mul, initial=1)
+        self.strides = tuple(strides)
+        self._radix = tuple(zip(strides, radices))
         self._memo: dict = {}
-
-    def index(self, alpha: MultiIndex) -> int:
-        """Position of alpha."""
-        return sum(map(operator.mul, alpha, self.strides))
 
     def decode(self, p: int) -> MultiIndex:
         """The alpha at position p."""
@@ -124,7 +124,7 @@ def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
 
 def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
     """Position of alpha in enumerate_box(k): the mixed-radix encoding."""
-    return layout(tuple(k)).index(alpha)
+    return sum(map(operator.mul, alpha, layout(tuple(k)).strides))
 
 
 @lru_cache(maxsize=None)
@@ -136,5 +136,4 @@ def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:
     """
     orders = (bound,) * n
     lay = layout(orders)
-    # Descending by (-degree, alpha) is ascending degree, then alpha descending.
-    return tuple(sorted(map(lay.decode, lay.positions(orders, bound)), key=lambda a: (-sum(a), a), reverse=True))
+    return tuple(sorted(map(lay.decode, lay.positions(orders, bound)), key=lambda a: (sum(a), [-e for e in a])))

@@ -18,14 +18,14 @@ lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep after every
 operation. The ring operations thus run on ints only, each value has one
 form, and every identity the package checks is an exact equality, never an
 approximation; ``WeilElement.coeffs`` presents the slots as ``Fraction``s.
-Numerators are stored densely in the mixed-radix layout of the box over the
-orders, ``multiindex.layout(orders)``, which also lists the live slots and
-the plan rows; shapes stay small in practice, and density keeps indexing
-trivial and output reproducible. A capped shape keeps this layout over its
-orders, with the slots above the cap always zero, so ``Shape.simplex(n, N)``
-allocates (N+1)^n slots for its C(N+n, n) live monomials. Products visit only the live ones; sums and scalar
-multiples run over every slot, which costs little on zero ints. Powers are
-taken by square-and-multiply.
+Numerators are stored densely in the mixed-radix layout of
+``multiindex.layout(orders)``, which also lists the live slots and the plan
+rows; shapes stay small in practice, and density keeps indexing trivial and
+output reproducible. A capped shape keeps this layout over its orders, with
+the slots above the cap always zero, so ``Shape.simplex(n, N)`` allocates
+(N+1)^n slots for its C(N+n, n) live monomials. Products visit only the live
+ones; sums and scalar multiples run over every slot, which costs little on
+zero ints. Powers are taken by square-and-multiply.
 
 The product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
@@ -52,7 +52,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional
 
 from . import multiindex
@@ -153,10 +153,10 @@ class Shape:
         )
 
     def size(self) -> int:
-        return prod(k + 1 for k in self.orders)
+        return layout(self.orders).size
 
     def index(self, alpha: MultiIndex) -> int:
-        return layout(self.orders).index(alpha)
+        return multiindex.box_index(self.orders, alpha)
 
     def nilpotency_bound(self) -> int:
         # Any element with zero constant term is killed by this power plus one.
