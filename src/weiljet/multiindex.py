@@ -96,7 +96,7 @@ class Layout:
         out = self._memo.get(key)
         if out is None:
             if not limits:
-                out = [0]
+                out = [0] if room >= 0 else []
             else:
                 s, head = self.strides[len(limits) - 1], limits[:-1]
                 out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in self.positions(head, room - b)]
