@@ -5,11 +5,9 @@ and the simplex {|alpha| <= N}).
 
 A multi-index is a plain tuple of naturals. ``Layout`` places the box
 {alpha <= k} at the mixed-radix positions ``idx(alpha) = sum_i alpha_i *
-prod_{j<i} (k_j + 1)``, the first component least significant. It owns the
-strides, the position -> alpha decoder and the one enumerator of the
-positions of {beta <= limits, |beta| <= room}; the box, the simplex, the
-live slots of a ``weil.Shape`` and its multiplication plan's rows all come
-from it.
+prod_{j<i} (k_j + 1)``, the first component least significant, and lists
+every index set of the package as a set of positions: the box, the simplex,
+the live slots of a ``weil.Shape`` and its multiplication plan's rows.
 Enumeration order is fixed so that tables and serialized output are
 reproducible byte for byte:
 
@@ -67,10 +65,8 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
 
 class Layout:
     """The mixed-radix layout of the box {alpha <= orders}: ``size`` slots,
-    with alpha at ``box_index(orders, alpha) = sum_i alpha_i * strides[i]``.
-    Every index set of the package is a set of these positions, listed by
-    ``positions`` and read back by ``decode``; ``layout`` keeps one per
-    orders.
+    alpha at ``sum_i alpha_i * strides[i]`` (``box_index``), sets of
+    positions listed by ``position_sets`` and read back by ``decode``.
     """
 
     def __init__(self, orders: MultiIndex):
@@ -78,30 +74,34 @@ class Layout:
         *strides, self.size = accumulate(radices, operator.mul, initial=1)
         self.strides = tuple(strides)
         self._radix = tuple(zip(strides, radices))
-        self._memo: dict = {}
 
     def decode(self, p: int) -> MultiIndex:
         """The alpha at position p."""
         return tuple([p // s % r for s, r in self._radix])
 
-    def positions(self, limits: MultiIndex, room: int) -> list:
-        """The ascending positions of {beta <= limits, |beta| <= room}, for
-        limits as long as a prefix of the orders. Each set is the union over
-        the last coordinate's value b of a smaller set shifted by b strides,
-        so it is built once from shared parts and the box above a cap is
-        never visited. Sets are memoised and shared; do not mutate them.
+    def position_sets(self):
+        """A fresh memoised ``positions(limits, room)``: the ascending
+        positions of {beta <= limits, |beta| <= room}, limits a prefix of the
+        orders. Each is the union over the last coordinate's value b of a
+        smaller set shifted by b strides, built once from shared parts; the
+        box above a cap is never visited. The memo dies with the function.
         """
-        room = min(room, sum(limits))
-        key = (limits, room)
-        out = self._memo.get(key)
-        if out is None:
-            if not limits:
-                out = [0] if room >= 0 else []
-            else:
-                s, head = self.strides[len(limits) - 1], limits[:-1]
-                out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in self.positions(head, room - b)]
-            self._memo[key] = out
-        return out
+        strides, memo = self.strides, {}
+
+        def positions(limits: MultiIndex, room: int) -> list:
+            room = min(room, sum(limits))
+            key = (limits, room)
+            out = memo.get(key)
+            if out is None:
+                if not limits:
+                    out = [0] if room >= 0 else []
+                else:
+                    s, head = strides[len(limits) - 1], limits[:-1]
+                    out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in positions(head, room - b)]
+                memo[key] = out
+            return out
+
+        return positions
 
 
 @lru_cache(maxsize=None)
@@ -119,7 +119,7 @@ def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
     """
     k = as_multiindex(k)
     lay = layout(k)
-    return tuple(map(lay.decode, lay.positions(k, sum(k))))
+    return tuple(map(lay.decode, lay.position_sets()(k, sum(k))))
 
 
 def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
@@ -136,4 +136,4 @@ def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:
     """
     orders = (bound,) * n
     lay = layout(orders)
-    return tuple(sorted(map(lay.decode, lay.positions(orders, bound)), key=lambda a: (sum(a), [-e for e in a])))
+    return tuple(sorted(map(lay.decode, lay.position_sets()(orders, bound)), key=lambda a: (sum(a), [-e for e in a])))

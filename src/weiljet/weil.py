@@ -141,7 +141,7 @@ class Shape:
     def _live(self):
         """(position, alpha) for each live monomial, in layout order."""
         lay = layout(self.orders)
-        for p in lay.positions(self.orders, self.nilpotency_bound()):
+        for p in lay.position_sets()(self.orders, self.nilpotency_bound()):
             yield p, lay.decode(p)
 
     def contains(self, alpha: MultiIndex) -> bool:
@@ -177,11 +177,12 @@ def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
     the same limits and room, so the plan is built in O(pairs).
     """
     lay = layout(orders)
+    positions = lay.position_sets()
     cap = sum(orders) if degree is None else degree
     plan = []
-    for p in lay.positions(orders, cap):
+    for p in positions(orders, cap):
         alpha = lay.decode(p)
-        plan.append((p, lay.positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
+        plan.append((p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
     return tuple(plan)
 
 
