@@ -15,9 +15,11 @@ from weiljet.multiindex import (
     norm,
 )
 
+
 def _divmod_box(k):
-    # Reference copy of the original enumerate_box: position p decoded by
-    # repeated divmod, first component least significant.
+    # Reference box order, independent of the package's layout code: each
+    # code in range(size) decoded by repeated divmod, first component least
+    # significant.
     total = 1
     for ki in k:
         total *= ki + 1
@@ -32,9 +34,8 @@ def _divmod_box(k):
 
 
 def _compositions(n, total):
-    # Reference copy of the original simplex recursion: every alpha with
-    # |alpha| == total, first component decreasing (lexicographically
-    # decreasing).
+    # Reference simplex order by recursion: every alpha with |alpha| ==
+    # total, first component decreasing (lexicographically decreasing).
     if n == 0:
         if total == 0:
             yield ()
