@@ -12,7 +12,8 @@ failing suite or tolerance), 64 on usage errors. ``--format json`` output is
 deterministic given (command, inputs, seed); the seed defaults to the
 WEILJET_SEED environment variable, then 0. Rationals print as ``p/q`` (bare
 ``p`` for integers) in tables and as decimal-string numerator/denominator
-pairs in JSON.
+pairs in JSON. ``check`` and ``fd-check`` import the suites and the oracle
+when they run, so ``taylor`` and ``derive`` start without them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from fractions import Fraction
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
-from .oracle import finite_difference
-from .suites import SuiteConfig, run_suites, suite_names
 from .weil import rational_to_json
 
 EXIT_OK = 0
@@ -164,6 +163,8 @@ def _cmd_derive(args) -> RunReport:
 
 
 def _cmd_check(args) -> RunReport:
+    from .suites import SuiteConfig, run_suites, suite_names
+
     seed = _default_seed(args.seed)
     if args.suite == "all":
         names = suite_names()
@@ -197,6 +198,8 @@ def _cmd_check(args) -> RunReport:
 
 
 def _cmd_fd_check(args) -> RunReport:
+    from .oracle import finite_difference
+
     if not (math.isfinite(args.h) and args.h > 0):
         raise UsageError(f"--h must be a positive finite step, got {args.h!r}")
     if not (math.isfinite(args.rtol) and args.rtol >= 0):

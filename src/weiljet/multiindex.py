@@ -66,7 +66,8 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
 class Layout:
     """The mixed-radix layout of the box {alpha <= orders}: ``size`` slots,
     alpha at ``sum_i alpha_i * strides[i]`` (``box_index``), sets of
-    positions listed by ``position_sets`` and read back by ``decode``.
+    positions listed by ``position_sets`` and read back, a list at a time, by
+    ``decode``.
     """
 
     def __init__(self, orders: MultiIndex):
@@ -75,9 +76,11 @@ class Layout:
         self.strides = tuple(strides)
         self._radix = tuple(zip(strides, radices))
 
-    def decode(self, p: int) -> MultiIndex:
-        """The alpha at position p."""
-        return tuple([p // s % r for s, r in self._radix])
+    def decode(self, ps: list) -> list[MultiIndex]:
+        """The alpha at each position of ps, in order: one column of digits
+        per coordinate, zipped."""
+        columns = [[p // s % r for p in ps] for s, r in self._radix]
+        return list(zip(*columns)) if columns else [()] * len(ps)
 
     def position_sets(self):
         """A fresh memoised ``positions(limits, room)``: the ascending
@@ -119,7 +122,7 @@ def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
     """
     k = as_multiindex(k)
     lay = layout(k)
-    return tuple(map(lay.decode, lay.position_sets()(k, sum(k))))
+    return tuple(lay.decode(lay.position_sets()(k, sum(k))))
 
 
 def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
@@ -136,4 +139,6 @@ def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:
     """
     orders = (bound,) * n
     lay = layout(orders)
-    return tuple(sorted(map(lay.decode, lay.position_sets()(orders, bound)), key=lambda a: (sum(a), [-e for e in a])))
+    # The indices are distinct, so the stable sort by degree keeps them
+    # lexicographically decreasing within each degree.
+    return tuple(sorted(sorted(lay.decode(lay.position_sets()(orders, bound)), reverse=True), key=sum))

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional
 
 from . import multiindex
 from .errors import WeiljetError
@@ -101,7 +100,7 @@ class Shape:
     """
 
     orders: MultiIndex
-    degree: Optional[int] = None
+    degree: int | None = None
 
     def __post_init__(self):
         orders = as_multiindex(self.orders)
@@ -141,8 +140,8 @@ class Shape:
     def _live(self):
         """(position, alpha) for each live monomial, in layout order."""
         lay = layout(self.orders)
-        for p in lay.position_sets()(self.orders, self.nilpotency_bound()):
-            yield p, lay.decode(p)
+        ps = lay.position_sets()(self.orders, self.nilpotency_bound())
+        return zip(ps, lay.decode(ps))
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -168,7 +167,7 @@ class Shape:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
+def _mul_plan(orders: MultiIndex, degree: int | None = None):
     """For each live position p, the pair (p, qs) listing the positions q
     with slot[p] + slot[q] live. Their product lands at p + q, because
     idx(alpha + beta) = idx(alpha) + idx(beta) while the sum stays in the
@@ -179,11 +178,11 @@ def _mul_plan(orders: MultiIndex, degree: Optional[int] = None):
     lay = layout(orders)
     positions = lay.position_sets()
     cap = sum(orders) if degree is None else degree
-    plan = []
-    for p in positions(orders, cap):
-        alpha = lay.decode(p)
-        plan.append((p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha))))
-    return tuple(plan)
+    ps = positions(orders, cap)
+    return tuple(
+        (p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha)))
+        for p, alpha in zip(ps, lay.decode(ps))
+    )
 
 
 def _raw(shape: Shape, nums: tuple, den: int) -> "WeilElement":

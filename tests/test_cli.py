@@ -378,3 +378,63 @@ def test_cli_stdout_matches_the_golden_bytes(name):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+# A fresh process runs main and then reports which of these modules it has
+# loaded; -S keeps site-packages start-up hooks (.pth files), which may import
+# random themselves, out of the count.
+FOOTPRINT_CHILD = """\
+import sys
+import weiljet.cli
+code = weiljet.cli.main(sys.argv[1:])
+print(code, *[m for m in ("weiljet.suites", "weiljet.oracle", "random") if m in sys.modules], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["derive", "--expr", "1/(1+x0^2)", "--at", "1/3", "--alpha", "2"], []),
+        (["taylor", "--expr", "x0^2*x1", "--at", "1,2", "--orders", "2,1", "--mode", "simplex"], []),
+        (["fd-check", "--expr", "x0^3", "--at", "2", "--wrt", "0"], ["weiljet.oracle"]),
+        (["check", "--suite", "lemma-3.1.2", "--instances", "2"], ["weiljet.suites", "weiljet.oracle", "random"]),
+    ],
+)
+def test_a_fresh_process_imports_only_what_its_subcommand_runs(argv, loaded):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT_CHILD, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stderr.split() == ["0", *loaded]
+
+
+def test_every_public_name_is_the_object_its_module_holds():
+    import importlib
+
+    import weiljet
+
+    for name in weiljet.__all__:
+        owner = weiljet._OWNER.get(name)
+        if owner is None:
+            assert getattr(weiljet, name) is importlib.import_module(f"weiljet.{name}")
+        else:
+            assert getattr(weiljet, name) is getattr(importlib.import_module(f"weiljet.{owner}"), name)
+    assert weiljet.taylor_box is weiljet.calculus.taylor_box
+
+
+def test_star_import_binds_exactly_the_public_names():
+    import weiljet
+
+    namespace = {}
+    exec("from weiljet import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(weiljet.__all__)
+
+
+def test_an_unknown_package_attribute_is_an_attribute_error():
+    import weiljet
+
+    with pytest.raises(AttributeError, match="'weiljet' has no attribute 'nope'"):
+        weiljet.nope
+    assert not hasattr(weiljet, "nope")
