@@ -11,7 +11,7 @@ suites (``suites``), and a CLI (``cli``).
 module on first use (PEP 562), so a process pays only for what it touches.
 """
 
-import importlib
+import sys
 
 _EXPORTS = {
     "calculus": (
@@ -48,12 +48,16 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     """Import a submodule, or the module that owns an exported name, on first
-    use; the name is then cached in this module's globals."""
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _OWNER:
+    use; an exported name is then cached in this module's globals."""
+    module = name if name in _EXPORTS else _OWNER.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    # The builtin __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``.
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value
 
 

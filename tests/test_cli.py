@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import weiljet
 from weiljet.cli import main
 from weiljet.errors import int_digit_limit
 from weiljet.expression import MAX_NESTING
@@ -410,10 +412,6 @@ def test_a_fresh_process_imports_only_what_its_subcommand_runs(argv, loaded):
 
 
 def test_every_public_name_is_the_object_its_module_holds():
-    import importlib
-
-    import weiljet
-
     for name in weiljet.__all__:
         owner = weiljet._OWNER.get(name)
         if owner is None:
@@ -424,17 +422,14 @@ def test_every_public_name_is_the_object_its_module_holds():
 
 
 def test_star_import_binds_exactly_the_public_names():
-    import weiljet
-
     namespace = {}
     exec("from weiljet import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(weiljet.__all__)
+    assert set(weiljet.__all__) <= set(dir(weiljet))
 
 
 def test_an_unknown_package_attribute_is_an_attribute_error():
-    import weiljet
-
     with pytest.raises(AttributeError, match="'weiljet' has no attribute 'nope'"):
         weiljet.nope
     assert not hasattr(weiljet, "nope")
