@@ -12,8 +12,9 @@ failing suite or tolerance), 64 on usage errors. ``--format json`` output is
 deterministic given (command, inputs, seed); the seed defaults to the
 WEILJET_SEED environment variable, then 0. Rationals print as ``p/q`` (bare
 ``p`` for integers) in tables and as decimal-string numerator/denominator
-pairs in JSON. ``check`` and ``fd-check`` import the suites and the oracle
-when they run, so ``taylor`` and ``derive`` start without them.
+pairs in JSON. ``check`` imports the suites (and with them the oracle) and
+``fd-check`` the oracle when they run, so ``taylor`` and ``derive`` start
+without either.
 """
 
 from __future__ import annotations
