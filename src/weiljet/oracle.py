@@ -3,7 +3,10 @@
 Two deliberately different routes to a derivative live here:
 
 * a symbolic one, expanding division-free expressions into canonical sparse
-  polynomials and differentiating termwise by the power rule;
+  polynomials and differentiating termwise by the power rule. ``oracle_mixed``
+  expands each expression once and reads every derivative off that
+  expansion, the iterated power rule in closed form (a falling factorial
+  per coordinate);
 * a numerical one, binary64 central finite differences, second-order
   accurate in the step.
 
@@ -15,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import perm
+from operator import add
 
 from .errors import WeiljetError
 from .expression import (
@@ -35,6 +41,7 @@ from .expression import (
 from .multiindex import MultiIndex, as_multiindex
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class NotPolynomialError(WeiljetError):
@@ -74,8 +81,8 @@ class SparsePoly:
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         terms = dict(self.terms)
         for alpha, c in other.terms.items():
-            terms[alpha] = terms.get(alpha, _ZERO) + c
-        return SparsePoly.make(self.arity, terms)
+            terms[alpha] = terms[alpha] + c if alpha in terms else c
+        return _poly(self.arity, terms)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.arity, {a: -c for a, c in self.terms.items()})
@@ -87,15 +94,30 @@ class SparsePoly:
         terms: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                terms[key] = terms.get(key, _ZERO) + ca * cb
-        return SparsePoly.make(self.arity, terms)
+                key = tuple(map(add, a, b))
+                c = ca * cb
+                terms[key] = terms[key] + c if key in terms else c
+        return _poly(self.arity, terms)
 
     def __pow__(self, exponent: int) -> "SparsePoly":
-        out = SparsePoly.const(self.arity, 1)
-        for _ in range(exponent):
-            out = out * self
-        return out
+        """By square-and-multiply; p**0 is one (the 0^0 = 1 convention) and
+        p**1 is p itself."""
+        out = None
+        square = self
+        while exponent > 0:
+            if exponent & 1:
+                out = square if out is None else out * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
+        return _poly(self.arity, {(0,) * self.arity: _ONE}) if out is None else out
+
+
+def _poly(arity: int, terms: dict) -> SparsePoly:
+    """A SparsePoly from exponent tuples already of length ``arity`` and
+    ``Fraction`` coefficients, dropping the zero ones; the oracle's own sums
+    and products build through here, ``SparsePoly.make`` checks outside input."""
+    return SparsePoly(arity, {a: c for a, c in terms.items() if c})
 
 
 def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
@@ -104,11 +126,20 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     return _to_poly(e, n)
 
 
+@lru_cache(maxsize=1)
+def _expansion(e: Expr) -> SparsePoly:
+    """``e`` expanded in its own arity, for ``oracle_mixed`` only: the result
+    is shared between calls, so it must never reach a caller."""
+    return _to_poly(e, arity(e))
+
+
 def _to_poly(e: Expr, n: int) -> SparsePoly:
+    # Every Var reached has an index below n: n >= arity(e), and a Compose is
+    # substituted before it is expanded, leaving only the variables arity counts.
     if isinstance(e, Const):
-        return SparsePoly.const(n, e.value)
+        return _poly(n, {(0,) * n: e.value})
     if isinstance(e, Var):
-        return SparsePoly.variable(n, e.index)
+        return _poly(n, {(0,) * e.index + (1,) + (0,) * (n - 1 - e.index): _ONE})
     if isinstance(e, Add):
         return _to_poly(e.left, n) + _to_poly(e.right, n)
     if isinstance(e, Sub):
@@ -154,18 +185,36 @@ def poly_eval(p: SparsePoly, x) -> Fraction:
 
 
 def oracle_mixed(e: Expr, alpha: MultiIndex, x) -> Fraction:
-    """Mixed derivative by iterated termwise power rule, evaluated at x."""
+    """D^alpha e at x, read off the expansion of e in one pass.
+
+    The expansion p = sum c * d^a is built once per expression (the last
+    one is kept). Applying the power rule alpha_i times in each coordinate
+    sends c * d^a to c * prod_i perm(a_i, alpha_i) * x_i^(a_i - alpha_i) if
+    a >= alpha and to 0 otherwise; D^alpha e(x) is the sum of those. An alpha
+    entry past the arity of e differentiates a variable e does not use, so
+    it gives 0; x needs at least arity(e) coordinates.
+    """
     alpha = as_multiindex(alpha)
     x = tuple(Fraction(v) for v in x)
-    n_e = arity(e)
-    if len(x) < n_e:
-        raise ValueError(f"need {n_e} coordinates, got {len(x)}")
-    n = max(len(alpha), len(x))
-    p = _to_poly(e, n)
-    for i, times in enumerate(alpha):
-        for _ in range(times):
-            p = poly_partial(p, i)
-    return poly_eval(p, x + (_ZERO,) * (n - len(x)))
+    p = _expansion(e)
+    n = p.arity
+    if len(x) < n:
+        raise ValueError(f"need {n} coordinates, got {len(x)}")
+    if any(alpha[n:]):
+        return _ZERO
+    alpha += (0,) * (n - len(alpha))
+    total = _ZERO
+    for a, c in p.terms.items():
+        for a_i, k, x_i in zip(a, alpha, x):
+            if a_i < k:
+                break
+            if k:
+                c *= perm(a_i, k)
+            if a_i > k:
+                c *= x_i ** (a_i - k)
+        else:
+            total += c
+    return total
 
 
 def finite_difference(e: Expr, i: int, x, h: float = 1e-4) -> float:

@@ -32,7 +32,7 @@ positions add while alpha + beta stays in the box, so a shape's plan lists
 for each live p only the q that pair with it. Division a / b is
 ``b.invert(a)``: one triangular solve of b * y = a over that plan in layout
 order, fraction-free over |b0|^(L+1) (b0 the constant term, L the
-nilpotency bound).
+nilpotency bound); a constant b only scales a.
 
 Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
 larger one raises ``CoefficientBudgetError`` before anything is allocated.
@@ -365,13 +365,17 @@ class WeilElement:
         numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no
         denominator above b0^(L+1), L the nilpotency bound). In layout order
         each Z[q] is its accumulator over b0, exactly; Z[q] * B[p] then
-        leaves every later slot q + p. y is Z * b.den over |b0|^(L+1) * a.den."""
+        leaves every later slot q + p. y is Z * b.den over |b0|^(L+1) * a.den.
+        A constant b = b0 / b.den skips the solve: y is a * b.den / b0."""
         a = one(self._shape) if numerator is None else numerator
         a._require_same_shape(self)
         shape = a._shape
         b0 = self._nums[0]
         if not b0:
             raise NonInvertibleError("element with zero constant term is not invertible")
+        if self._nums.count(0) == len(self._nums) - 1:
+            factor = self._den if b0 > 0 else -self._den
+            return _reduced(shape, tuple(map(factor.__mul__, a._nums)), a._den * abs(b0))
         scale = abs(b0) ** (shape.nilpotency_bound() + 1)
         acc = [n * scale for n in a._nums]
         off_diagonal = (0,) + self._nums[1:]

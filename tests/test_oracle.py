@@ -66,6 +66,66 @@ def test_oracle_mixed_pads_short_indices():
     assert oracle_mixed(parse("x0^2*x1"), (1,), (1, 2)) == 4
 
 
+def _iterated_reference(e, alpha, x):
+    # D^alpha by repeated poly_partial, then poly_eval: one expansion per call.
+    n = max(len(alpha), len(x))
+    p = to_poly(e, n)
+    for i, times in enumerate(alpha):
+        for _ in range(times):
+            p = poly_partial(p, i)
+    return poly_eval(p, tuple(x) + (0,) * (n - len(x)))
+
+
+@settings(max_examples=150)
+@given(
+    division_free_exprs,
+    st.lists(st.integers(0, 5), max_size=5),
+    st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        min_size=3,
+        max_size=4,
+    ),
+)
+def test_oracle_mixed_matches_the_iterated_power_rule(e, alpha, x):
+    # alpha may run past the arity (3 at most here) and past the degree.
+    assert oracle_mixed(e, alpha, x) == _iterated_reference(e, alpha, x)
+
+
+def test_oracle_mixed_interleaved_expressions_match_fresh_values():
+    f = parse("x0^3*x1 - 2*x1^2 + 1/2")
+    g = parse("(x0 + x1 + x2)^4")
+    x = (Fraction(2, 3), -3, Fraction(5, 7))
+    for alpha in ((0, 0, 0), (1, 0), (2, 1), (0, 2, 1), (3, 1, 0, 0)):
+        for e in (f, g, f, g, g, f):
+            assert oracle_mixed(e, alpha, x) == _iterated_reference(e, alpha, x)
+
+
+def test_oracle_mixed_refuses_division_on_every_call():
+    quotient = parse("x0 / (1 + x1)")
+    for _ in range(3):
+        with pytest.raises(NotPolynomialError):
+            oracle_mixed(quotient, (1, 0), (1, 2))
+        assert oracle_mixed(parse("x0*x1"), (1, 1), (1, 2)) == 1
+
+
+def test_oracle_mixed_checks_the_point_after_a_cached_call():
+    f = parse("x0*x2 + x1")
+    assert oracle_mixed(f, (1, 0, 1), (1, 2, 3, 4)) == 1
+    with pytest.raises(ValueError):
+        oracle_mixed(f, (1, 0, 1), (1, 2))
+    assert oracle_mixed(f, (0, 0, 1), (1, 2, 3)) == 1
+
+
+def test_mutating_a_to_poly_result_leaves_the_oracle_unchanged():
+    f = parse("x0^2*x1 + 3*x0")
+    assert oracle_mixed(f, (1, 0), (1, 2)) == 7
+    p = to_poly(f)
+    p.terms.clear()
+    p.terms[(0, 0)] = Fraction(99)
+    assert oracle_mixed(f, (1, 0), (1, 2)) == 7
+    assert oracle_mixed(f, (0, 0), (1, 2)) == 5
+
+
 @given(division_free_exprs, division_free_exprs)
 def test_to_poly_is_a_ring_homomorphism(a, b):
     pa = to_poly(a, 3)

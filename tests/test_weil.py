@@ -538,6 +538,19 @@ def test_division_by_a_non_unit_raises_directly():
         one(Shape((1,))) / one(Shape((2,)))
 
 
+def test_division_by_a_constant_jet_is_scaling_by_the_reciprocal():
+    rng = random.Random("weil:constant-denominator")
+    shapes = (Shape((4, 4, 4)), Shape((2, 1)), Shape(()), Shape.simplex(3, 2), Shape((3, 2, 2), 4))
+    for shape in shapes:
+        for a in (_kernel_element(rng, shape), _kernel_element(rng, shape), zero(shape)):
+            for c in (*_DIVISOR_CONSTANTS, 5, Fraction(2, 9)):
+                c = Fraction(c)
+                quotient = a / constant(shape, c)
+                _assert_canonical(quotient)
+                assert quotient == a * (1 / c)
+                assert constant(shape, c).invert() == constant(shape, 1 / c)
+
+
 def test_evaluate_reports_a_jet_pole_with_its_path():
     s = Shape((2, 1))
     x = (constant(s, 2) + generator(s, 0), constant(s, 1) + generator(s, 1))
