@@ -131,8 +131,10 @@ def jet_evaluate(f: Expr, x, shape: Shape) -> WeilElement:
 def evaluate_perturbed(f: Expr, x, shape: Shape, seeds) -> WeilElement:
     """Evaluate f over ``shape`` at the point whose i-th coordinate is x[i]
     plus the generators d_t for t in seeds[i]; the rational constants of f
-    embed as constant jets.
+    embed as constant jets. A shape whose multiplication plan is over
+    ``weil.PAIR_BUDGET`` is refused first.
     """
+    shape.plan_pairs()
     args = []
     for xi, ts in zip(x, seeds):
         arg = constant(shape, xi)
@@ -227,17 +229,17 @@ def _point_and_orders(x, k):
 
 @lru_cache(maxsize=None)
 def _readout_plan(mode: str, orders: MultiIndex, shape: Shape) -> tuple:
-    # (alpha, layout position in shape, alpha!) for every alpha of the mode's
+    # (alpha, element slot in shape, alpha!) for every alpha of the mode's
     # index set, in its enumeration order; each is a live monomial of shape.
     return tuple(
-        (alpha, shape.index(alpha), multiindex.factorial(alpha)) for alpha in _INDEX_SETS[mode](orders)
+        (alpha, shape._slot(shape.index(alpha)), multiindex.factorial(alpha)) for alpha in _INDEX_SETS[mode](orders)
     )
 
 
 def _readout(jet: WeilElement, mode: str, orders: MultiIndex) -> dict:
     """{alpha: alpha! times the d^alpha coefficient of jet} over the index
     set of ``mode`` at ``orders``, read straight off the jet's numerators."""
-    nums, den = jet.nums, jet.den
+    nums, den = jet._nums, jet.den
     return {alpha: Fraction(scale * nums[p], den) for alpha, p, scale in _readout_plan(mode, orders, jet.shape)}
 
 
@@ -259,9 +261,9 @@ def taylor_simplex(f: Expr, x, k) -> DerivTable:
     a coefficient of the same jet. The entries outside the box multiply
     vanishing monomials on the neighborhood of orders k, so reporting them
     costs nothing in the expansion identity but makes the truncation of the
-    full series inspectable. That algebra holds (|k|+1)^n slots per element,
-    so a wide request breaks ``weil.SLOT_BUDGET`` and raises
-    ``CoefficientBudgetError`` before evaluating.
+    full series inspectable. Its elements hold the C(|k|+n, n) live
+    monomials only; a request whose plan breaks ``weil.PAIR_BUDGET`` (10
+    variables at orders all 1) raises ``CoefficientBudgetError`` first.
     """
     x, k = _point_and_orders(x, k)
     return _taylor_table("simplex", f, x, k, Shape.simplex(len(x), multiindex.norm(k)))

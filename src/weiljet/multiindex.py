@@ -73,8 +73,9 @@ class Layout:
     def __init__(self, orders: MultiIndex):
         radices = [k + 1 for k in orders]
         *strides, self.size = accumulate(radices, operator.mul, initial=1)
-        self.strides = tuple(strides)
+        self.orders, self.strides = orders, tuple(strides)
         self._radix = tuple(zip(strides, radices))
+        self._live = {}
 
     def decode(self, ps: list) -> list[MultiIndex]:
         """The alpha at each position of ps, in order: one column of digits
@@ -105,6 +106,41 @@ class Layout:
             return out
 
         return positions
+
+    def live(self, cap: int) -> tuple[list, dict]:
+        """The live-slot table of a cap: the ascending positions of
+        {alpha <= orders, |alpha| <= cap} and their ranks, built once."""
+        if cap not in self._live:
+            ps = self.position_sets()(self.orders, cap)
+            self._live[cap] = ps, dict(zip(ps, range(len(ps))))
+        return self._live[cap]
+
+
+@lru_cache(maxsize=None)
+def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) -> int:
+    """The size of {alpha <= orders, |alpha| <= cap} for a cap under |orders|,
+    or with ``pairs`` the number of pairs (alpha, beta) whose sum lies in it,
+    without listing either. ``ways[t]`` counts by total degree t over the
+    coordinates so far; a coordinate of order k adds a degree c <= k to it in
+    one way, or for pairs in c + 1 ways (a + b = c), summed over that window
+    by prefix sums in O(cap). A count past ``limit`` returns at once, as a
+    lower bound.
+    """
+    if cap > limit:
+        return cap + 1  # the set holds a chain of every degree up to the cap
+    ways = [1] + [0] * cap
+    for k in orders:
+        if sum(ways) > limit:
+            break
+        # Prefix sums of ways[s] and of s * ways[s]; window s in [t - k, t].
+        s0 = [0, *accumulate(ways)]
+        s1 = [0, *accumulate(map(operator.mul, range(cap + 1), ways))]
+        window = [(t, max(0, t - k)) for t in range(cap + 1)]
+        if pairs:  # the sum of (t - s + 1) * ways[s]
+            ways = [(t + 1) * (s0[t + 1] - s0[lo]) - (s1[t + 1] - s1[lo]) for t, lo in window]
+        else:
+            ways = [s0[t + 1] - s0[lo] for t, lo in window]
+    return sum(ways)
 
 
 @lru_cache(maxsize=None)

@@ -13,32 +13,28 @@ A shape may also carry a total-degree cap N, which drops every monomial with
 simplex are thus two truncations of one class.
 
 Coefficients are exact rationals stored fraction-free: an element holds one
-``int`` numerator per slot over one positive ``int`` denominator, kept in
-lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep after every
-operation. The ring operations thus run on ints only, each value has one
-form, and every identity the package checks is an exact equality, never an
-approximation; ``WeilElement.coeffs`` presents the slots as ``Fraction``s.
-Numerators are stored densely in the mixed-radix layout of
-``multiindex.layout(orders)``, which also lists the live slots and the plan
-rows; shapes stay small in practice, and density keeps indexing trivial and
-output reproducible. A capped shape keeps this layout over its orders, with
-the slots above the cap always zero, so ``Shape.simplex(n, N)`` allocates
-(N+1)^n slots for its C(N+n, n) live monomials. Products visit only the live
-ones; sums and scalar multiples run over every slot, which costs little on
-zero ints. Powers are taken by square-and-multiply.
+``int`` numerator per live monomial (its slots) over one positive ``int``
+denominator, kept in lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep
+after every operation. The ring operations thus run on ints only, each value
+has one form, and every identity the package checks is an exact equality,
+never an approximation. Slots follow the mixed-radix layout of
+``multiindex.layout(orders)``: a box holds every position, and a capped
+shape only the live ones, through the layout's live-slot table, so
+``Shape.simplex(n, N)`` holds C(N+n, n) slots, not (N+1)^n. The public views
+stay dense: ``Shape.size``/``index``/``box``, ``WeilElement(shape, coeffs)``,
+``coeffs`` and ``nums`` span the whole layout, zero above a cap, and a capped
+element builds the last two on first use. Powers are square-and-multiply.
 
-The product of slots p and q lands in slot p + q, since mixed-radix
+On a box the product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
-for each live p only the q that pair with it. Division a / b is
-``b.invert(a)``: one triangular solve of b * y = a over that plan in layout
-order, fraction-free over |b0|^(L+1) (b0 the constant term, L the
-nilpotency bound); a constant b only scales a.
+for each p only the q that pair with it; a capped plan also lists each
+product's slot. Division a / b is ``b.invert(a)``: one triangular solve of
+b * y = a over that plan in layout order, fraction-free over |b0|^(L+1) (b0
+the constant term, L the nilpotency bound); a constant b only scales a.
 
-Every shape is held to ``SLOT_BUDGET`` slots per element: constructing a
-larger one raises ``CoefficientBudgetError`` before anything is allocated.
-No box over the budget is computable anyway (its multiplication plan has
-more than size^1.58 pairs), so the budget only turns away requests that
-would otherwise exhaust memory, such as a simplex in 8 or more variables.
+A shape is held to ``SLOT_BUDGET`` live monomials and its plan to
+``PAIR_BUDGET`` pairs, each counted before anything is built; a dense view is
+held to ``SLOT_BUDGET`` slots. Over a budget raises ``CoefficientBudgetError``.
 
 Arithmetic between elements of different shapes is an error. Callers embed
 scalars explicitly via ``constant``; the only implicit coercion is scalar
@@ -52,7 +48,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 
 from . import multiindex
 from .errors import WeiljetError
@@ -81,12 +77,23 @@ class CoefficientIndexError(WeiljetError):
 
 
 class CoefficientBudgetError(WeiljetError):
-    """A shape would hold more than ``SLOT_BUDGET`` coefficient slots."""
+    """A shape over ``SLOT_BUDGET`` slots or ``PAIR_BUDGET`` plan pairs."""
 
 
-# Coefficient slots per element (16 MiB of pointers); 8^7, so a simplex in
-# 7 variables at total degree 7 still fits.
+# Live monomials per element (16 MiB of pointers), and the dense slots of a
+# view: C(2n, n) in the simplex of n variables at degree n fits for n <= 11.
 SLOT_BUDGET = 2**21
+# Pairs in one multiplication plan, counted before it is built: 3^n on the
+# square-free box in n variables, so 14 fit, as does the simplex in 9 at
+# degree 9 (4,686,825). A box plan of 7.6 M pairs took 3.2 s and 430 MB
+# (Python 3.11, 2 vCPUs).
+PAIR_BUDGET = 2**23
+
+
+def _within_budget(shape: "Shape", count: int, budget: int, what: str) -> int:
+    if count > budget:
+        raise CoefficientBudgetError(f"shape {shape} needs at least {count} {what}, over the budget of {budget}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -114,11 +121,8 @@ class Shape:
                 degree = None
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "degree", degree)
-        if self.size() > SLOT_BUDGET:
-            raise CoefficientBudgetError(
-                f"shape {self} needs {self.size()} coefficient slots, "
-                f"over the budget of {SLOT_BUDGET}"
-            )
+        live = layout(orders).size if degree is None else multiindex.count_capped(orders, degree, SLOT_BUDGET)
+        object.__setattr__(self, "_length", _within_budget(self, live, SLOT_BUDGET, "coefficient slots"))
 
     @classmethod
     def simplex(cls, n: int, bound: int) -> "Shape":
@@ -131,17 +135,30 @@ class Shape:
 
     def box(self) -> tuple[MultiIndex, ...]:
         """Every slot of the dense layout, live or not, in layout order."""
+        _within_budget(self, self.size(), SLOT_BUDGET, "slots in a dense view")
         return enumerate_box(self.orders)
 
     def monomials(self) -> tuple[MultiIndex, ...]:
         """The live monomials (those under the cap), in layout order."""
-        return tuple(alpha for _, alpha in self._live())
+        return tuple(layout(self.orders).decode(self._positions()))
 
-    def _live(self):
-        """(position, alpha) for each live monomial, in layout order."""
+    def _positions(self):
+        """The dense position of each slot of an element, in layout order."""
         lay = layout(self.orders)
-        ps = lay.position_sets()(self.orders, self.nilpotency_bound())
-        return zip(ps, lay.decode(ps))
+        return range(lay.size) if self.degree is None else lay.live(self.degree)[0]
+
+    def _slot(self, p: int) -> int:
+        """The slot of an element that holds the live monomial at position p."""
+        return p if self.degree is None else layout(self.orders).live(self.degree)[1][p]
+
+    def plan_pairs(self) -> int:
+        """The pairs of live monomials with a live product, counted without
+        building the plan; over ``PAIR_BUDGET`` raises ``CoefficientBudgetError``."""
+        if self.degree is None:
+            pairs = prod(comb(k + 2, 2) for k in self.orders)
+        else:
+            pairs = multiindex.count_capped(self.orders, self.degree, PAIR_BUDGET, pairs=True)
+        return _within_budget(self, pairs, PAIR_BUDGET, "product pairs")
 
     def contains(self, alpha: MultiIndex) -> bool:
         """Whether d^alpha is a live monomial of this shape."""
@@ -167,22 +184,33 @@ class Shape:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(orders: MultiIndex, degree: int | None = None):
+def _mul_plan(orders: MultiIndex, degree: int | None = None, ranked: bool = False):
     """For each live position p, the pair (p, qs) listing the positions q
     with slot[p] + slot[q] live. Their product lands at p + q, because
     idx(alpha + beta) = idx(alpha) + idx(beta) while the sum stays in the
     box. For slot[p] = alpha, qs is the memoised position set of
-    {beta <= k - alpha, |beta| <= cap - |alpha|}, shared by every alpha with
-    the same limits and room, so the plan is built in O(pairs).
+    {beta <= k - alpha, |beta| <= cap - |alpha|}, limits cut to the room and
+    shared by every alpha with the same ones, so the plan is built in
+    O(pairs). ``ranked`` gives a capped shape's rows over element slots in
+    the same pass: (i, js, ts), js the slots of the qs, ts of the products.
     """
+    Shape(orders, degree).plan_pairs()
     lay = layout(orders)
     positions = lay.position_sets()
     cap = sum(orders) if degree is None else degree
     ps = positions(orders, cap)
-    return tuple(
-        (p, positions(tuple(k - a for k, a in zip(orders, alpha)), cap - sum(alpha)))
+    rows = [
+        (p, positions(tuple(min(k - a, room) for k, a in zip(orders, alpha)), room))
         for p, alpha in zip(ps, lay.decode(ps))
-    )
+        for room in (cap - sum(alpha),)
+    ]
+    if not ranked:
+        return tuple(rows)
+    rank, slots = lay.live(cap)[1], {}  # id of a shared position set -> its slots
+    for i, (p, qs) in enumerate(rows):
+        js = slots.get(id(qs)) or slots.setdefault(id(qs), [rank[q] for q in qs])
+        rows[i] = (i, js, [rank[p + q] for q in qs])
+    return tuple(rows)
 
 
 def _raw(shape: Shape, nums: tuple, den: int) -> "WeilElement":
@@ -191,7 +219,7 @@ def _raw(shape: Shape, nums: tuple, den: int) -> "WeilElement":
     out._shape = shape
     out._nums = nums
     out._den = den
-    out._coeffs = None
+    out._coeffs = out._dense_nums = None
     return out
 
 
@@ -205,40 +233,59 @@ def _reduced(shape: Shape, nums: tuple, den: int) -> "WeilElement":
     return _raw(shape, nums, den)
 
 
-class WeilElement:
-    """An element of the algebra of ``shape``, stored fraction-free: a tuple
-    of ``int`` numerators in layout order over one positive ``int``
-    denominator, with ``gcd(den, *nums) == 1``. That form is unique, so
-    ``==`` and ``hash`` compare values.
+def _fraction_free(coeffs) -> tuple:
+    # Over the lcm of reduced denominators the numerators share no factor
+    # with it, so this is already the canonical form.
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
-    ``WeilElement(shape, coeffs)`` takes one rational per slot; ``coeffs``
-    gives them back as reduced ``Fraction``s, built on first use.
+
+class WeilElement:
+    """An element of the algebra of ``shape``, stored fraction-free: one
+    ``int`` numerator per slot over one positive ``int`` denominator, with
+    ``gcd(den, *nums) == 1``. That form is unique, so ``==`` and ``hash``
+    compare values.
+
+    ``WeilElement(shape, coeffs)`` takes one rational per dense slot, zero
+    above a cap; ``coeffs`` and ``nums`` give them back, built on first use.
     """
 
-    __slots__ = ("_shape", "_nums", "_den", "_coeffs")
+    __slots__ = ("_shape", "_nums", "_den", "_coeffs", "_dense_nums")
 
     def __init__(self, shape: Shape, coeffs):
         coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         if len(coeffs) != shape.size():
             raise ValueError(f"shape {shape} has {shape.size()} slots, got {len(coeffs)} coefficients")
-        den = lcm(*(c.denominator for c in coeffs))
-        # Over the lcm of reduced denominators the numerators share no factor
-        # with it, so this is already the canonical form.
-        self._shape = shape
-        self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        self._den = den
-        self._coeffs = coeffs
+        live = coeffs
+        if shape.degree is not None:
+            live = [coeffs[p] for p in shape._positions()]
+            if sum(map(bool, live)) < sum(map(bool, coeffs)):
+                raise CoefficientIndexError(f"shape {shape} has a nonzero coefficient above its cap")
+        self._shape, self._coeffs, self._dense_nums = shape, coeffs, None
+        self._nums, self._den = _fraction_free(live)
 
     shape = property(lambda self: self._shape)
-    nums = property(lambda self: self._nums, doc="Numerators in layout order.")
     den = property(lambda self: self._den, doc="The shared positive denominator.")
 
     @property
+    def nums(self) -> tuple[int, ...]:
+        """Every slot's numerator in the dense layout, zero above a cap."""
+        shape = self._shape
+        if shape.degree is None:
+            return self._nums
+        if self._dense_nums is None:
+            out = [0] * _within_budget(shape, shape.size(), SLOT_BUDGET, "slots in a dense view")
+            for p, n in zip(shape._positions(), self._nums):
+                out[p] = n
+            self._dense_nums = tuple(out)
+        return self._dense_nums
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """Every slot as a reduced ``Fraction``, in layout order."""
+        """Every slot as a reduced ``Fraction``, in the dense layout."""
         if self._coeffs is None:
             den = self._den
-            self._coeffs = tuple(Fraction(n, den) if n else _ZERO for n in self._nums)
+            self._coeffs = tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
         return self._coeffs
 
     def __eq__(self, other):
@@ -250,6 +297,8 @@ class WeilElement:
         return hash((self._shape, self._den, self._nums))
 
     def __repr__(self) -> str:
+        if self._shape.size() > SLOT_BUDGET:  # no dense view to show
+            return f"<WeilElement over {self._shape}: {self}>"
         return f"WeilElement({self._shape!r}, {self.coeffs!r})"
 
     def _require_same_shape(self, other: "WeilElement") -> None:
@@ -294,14 +343,18 @@ class WeilElement:
             a = self._nums
             b = other._nums
             out = [0] * len(a)
-            for p, qs in _mul_plan(shape.orders, shape.degree):
-                ca = a[p]
-                if not ca:
-                    continue
-                for q in qs:
-                    cb = b[q]
-                    if cb:
-                        out[p + q] += ca * cb
+            if shape.degree is None:
+                for p, qs in _mul_plan(shape.orders, shape.degree):
+                    if ca := a[p]:
+                        for q in qs:
+                            if cb := b[q]:
+                                out[p + q] += ca * cb
+            else:
+                for i, js, ts in _mul_plan(shape.orders, shape.degree, True):
+                    if ca := a[i]:
+                        for j, t in zip(js, ts):
+                            if cb := b[j]:
+                                out[t] += ca * cb
             return _reduced(shape, tuple(out), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             scaled = tuple(map(other.numerator.__mul__, self._nums))
@@ -351,7 +404,7 @@ class WeilElement:
         alpha = as_multiindex(alpha)
         if not self._shape.contains(alpha):
             raise CoefficientIndexError(f"index {alpha} outside shape {self._shape}")
-        return Fraction(self._nums[self._shape.index(alpha)], self._den)
+        return Fraction(self._nums[self._shape._slot(self._shape.index(alpha))], self._den)
 
     def is_in_Dm(self, m: int) -> bool:
         """Whether the element is m-nilpotent: its (m+1)-th power vanishes."""
@@ -365,7 +418,7 @@ class WeilElement:
         numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no
         denominator above b0^(L+1), L the nilpotency bound). In layout order
         each Z[q] is its accumulator over b0, exactly; Z[q] * B[p] then
-        leaves every later slot q + p. y is Z * b.den over |b0|^(L+1) * a.den.
+        leaves the later slot of their product. y is Z * b.den over |b0|^(L+1) * a.den.
         A constant b = b0 / b.den skips the solve: y is a * b.den / b0."""
         a = one(self._shape) if numerator is None else numerator
         a._require_same_shape(self)
@@ -379,19 +432,26 @@ class WeilElement:
         scale = abs(b0) ** (shape.nilpotency_bound() + 1)
         acc = [n * scale for n in a._nums]
         off_diagonal = (0,) + self._nums[1:]
-        for q, ps in _mul_plan(shape.orders, shape.degree):
-            z = acc[q] = acc[q] // b0
-            if z:
-                for p in ps:
-                    cb = off_diagonal[p]
-                    if cb:
-                        acc[q + p] -= cb * z
+        if shape.degree is None:
+            for q, ps in _mul_plan(shape.orders, shape.degree):
+                z = acc[q] = acc[q] // b0
+                if z:
+                    for p in ps:
+                        if cb := off_diagonal[p]:
+                            acc[q + p] -= cb * z
+        else:
+            for i, js, ts in _mul_plan(shape.orders, shape.degree, True):
+                z = acc[i] = acc[i] // b0
+                if z:
+                    for j, t in zip(js, ts):
+                        if cb := off_diagonal[j]:
+                            acc[t] -= cb * z
         return _reduced(shape, tuple(map(self._den.__mul__, acc)), scale * a._den)
 
     def _terms(self) -> list:
         """(alpha, coefficient) for each nonzero coefficient, in layout order."""
-        nums, den = self._nums, self._den
-        return [(alpha, Fraction(nums[p], den)) for p, alpha in self._shape._live() if nums[p]]
+        den = self._den
+        return [(alpha, Fraction(n, den)) for alpha, n in zip(self._shape.monomials(), self._nums) if n]
 
     def __str__(self) -> str:
         parts = []
@@ -409,17 +469,17 @@ class WeilElement:
 
 
 def zero(shape: Shape) -> WeilElement:
-    return _raw(shape, (0,) * shape.size(), 1)
+    return _raw(shape, (0,) * shape._length, 1)
 
 
 def one(shape: Shape) -> WeilElement:
     return constant(shape, 1)
 
 
-def _unit(shape: Shape, position: int, num: int = 1, den: int = 1) -> WeilElement:
+def _unit(shape: Shape, slot: int, num: int = 1, den: int = 1) -> WeilElement:
     # num/den (in lowest terms) at one slot, zero elsewhere.
-    nums = [0] * shape.size()
-    nums[position] = num
+    nums = [0] * shape._length
+    nums[slot] = num
     return _raw(shape, tuple(nums), den)
 
 
@@ -441,7 +501,7 @@ def generator(shape: Shape, i: int) -> WeilElement:
         raise DegenerateGeneratorError(
             f"generator d{i} is identically zero in shape {shape}"
         )
-    return _unit(shape, layout(shape.orders).strides[i])
+    return _unit(shape, shape._slot(layout(shape.orders).strides[i]))
 
 
 def monomial(shape: Shape, alpha) -> WeilElement:
@@ -453,18 +513,18 @@ def monomial(shape: Shape, alpha) -> WeilElement:
         )
     if not shape.contains(alpha):
         return zero(shape)
-    return _unit(shape, shape.index(alpha))
+    return _unit(shape, shape._slot(shape.index(alpha)))
 
 
 def from_coefficients(shape: Shape, entries) -> WeilElement:
     """Build an element from a {multi-index: rational} mapping."""
-    coeffs = [_ZERO] * shape.size()
+    coeffs = [_ZERO] * shape._length
     for alpha, c in dict(entries).items():
         alpha = as_multiindex(alpha)
         if not shape.contains(alpha):
             raise CoefficientIndexError(f"index {alpha} outside shape {shape}")
-        coeffs[shape.index(alpha)] = Fraction(c)
-    return WeilElement(shape, tuple(coeffs))
+        coeffs[shape._slot(shape.index(alpha))] = Fraction(c)
+    return _raw(shape, *_fraction_free(coeffs))
 
 
 def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
@@ -482,7 +542,7 @@ def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
         raise CoefficientIndexError(f"power {power} exceeds order {k[i]} of generator {i}")
     degree = a.shape.degree
     reduced = Shape(k[:i] + k[i + 1 :], None if degree is None else degree - power)
-    nums = tuple(a.nums[a.shape.index(beta[:i] + (power,) + beta[i:])] for beta in reduced.box())
+    nums = tuple(a._nums[a.shape._slot(a.shape.index(beta[:i] + (power,) + beta[i:]))] for beta in reduced.monomials())
     return _reduced(reduced, nums, a.den)
 
 

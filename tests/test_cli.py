@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import weiljet
+from weiljet.calculus import mixed_derivative
 from weiljet.cli import main
 from weiljet.errors import int_digit_limit
-from weiljet.expression import MAX_NESTING
+from weiljet.expression import MAX_NESTING, parse
 
 GOLDEN_TAYLOR = """\
 mode: box
@@ -239,7 +242,8 @@ def test_check_rejects_negative_instances(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--mode", "simplex", "--expr", "x0*x1*x2*x3*x4*x5*x6*x7", "--at", "1,1,1,1,1,1,1,1", "--orders", "1,1,1,1,1,1,1,1"],
+        # Shape.simplex(12, 12): 2,704,156 live monomials.
+        ["--mode", "simplex", "--expr", "x0*x11", "--at", ",".join(["1"] * 12), "--orders", ",".join(["1"] * 12)],
         ["--expr", "x0*x1*x2", "--at", "1,2,3", "--orders", "2000,2000,2000"],
     ],
 )
@@ -248,6 +252,49 @@ def test_taylor_over_the_slot_budget_fails_cleanly(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "over the budget" in err
+
+
+def _reciprocal_of_the_product(n, mode):
+    # taylor of 1/(1+x0*...*x{n-1}) at the point and orders all 1.
+    ones = ",".join(["1"] * n)
+    expr = "1/(1+" + "*".join(f"x{i}" for i in range(n)) + ")"
+    return ["taylor", "--expr", expr, "--at", ones, "--orders", ones, "--mode", mode]
+
+
+@pytest.mark.parametrize("n, mode", [(18, "box"), (10, "simplex")])
+def test_taylor_over_the_pair_budget_fails_fast(capsys, n, mode):
+    # 3^18 = 387,420,489 and C(30, 10) = 30,045,015 plan pairs: counted, not built.
+    start = time.perf_counter()
+    code, out, err = run_cli(_reciprocal_of_the_product(n, mode), capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "product pairs, over the budget" in err
+
+
+def test_taylor_simplex_in_eight_variables_runs(capsys):
+    # Shape.simplex(8, 8): 12,870 live monomials of 43,046,721 dense slots.
+    code, out, err = run_cli(_reciprocal_of_the_product(8, "simplex"), capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3 + 12870 and lines[3] == "(0,0,0,0,0,0,0,0)  1/2"
+    # The all-ones entry, against the box algebra (1,)*8 of mixed_derivative.
+    ones = "(" + ",".join(["1"] * 8) + ")"
+    value = mixed_derivative(parse("1/(1+x0*x1*x2*x3*x4*x5*x6*x7)"), (1,) * 8, (1,) * 8)
+    assert f"{ones}  {value}" in lines
+
+
+def test_taylor_simplex_in_seven_variables_stays_small(capsys):
+    # Elements holding all 8^7 = 2,097,152 dense slots peaked at 234 MB
+    # traced; holding the 3,432 live monomials must take under a tenth.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(_reciprocal_of_the_product(7, "simplex"), capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out.splitlines()) == 3 + 3432
+    assert peak < (234 << 20) // 10
 
 
 def test_fd_check_overflow_fails_cleanly(capsys):

@@ -1,7 +1,8 @@
 """The public surface and the AST node contract, pinned to recorded values.
 
-The bench tracer counts nodes through ``dataclasses.fields``, JSON and
-``repr`` are read by users, and ``weiljet.__all__`` is the package's API.
+The bench tracer counts nodes through ``dataclasses.fields`` and product
+pairs through the dense layout of ``WeilElement.coeffs``, JSON and ``repr``
+are read by users, and ``weiljet.__all__`` is the package's API.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from weiljet.expression import (
     expr_from_json,
     expr_to_json,
 )
+from weiljet.weil import Shape, constant, element_to_json, generator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -70,3 +72,18 @@ def test_binary_nodes_compare_by_kind_and_hash_by_value():
         for other in BINARY:
             if other is not kind:
                 assert kind(A, B) != other(A, B)
+
+
+def test_a_capped_element_views_its_coefficients_in_the_dense_layout():
+    # Mixed-radix, first index fastest, every slot of the box listed and zero
+    # above the cap: the bench's pair count reads positions this way.
+    shape = Shape((3, 3, 3), 3)
+    a = (constant(shape, 2) + generator(shape, 0) - generator(shape, 2) * Fraction(1, 2)) ** 3
+    assert len(a.coeffs) == len(a.nums) == shape.size() == 64
+    for p, alpha in enumerate(shape.box()):
+        assert p == alpha[0] + 4 * alpha[1] + 16 * alpha[2] == shape.index(alpha)
+        if sum(alpha) > 3:
+            assert a.coeffs[p] == 0 and a.nums[p] == 0
+        else:
+            assert a.coeffs[p] == a.coefficient(alpha) == Fraction(a.nums[p], a.den)
+    assert sum(1 for c in a.coeffs if c) == len(element_to_json(a)["coeffs"]) == 10

@@ -432,13 +432,46 @@ def test_shapes_over_the_slot_budget_are_refused_before_allocating():
     assert Shape.simplex(7, 7).size() == SLOT_BUDGET
     tracemalloc.start()
     try:
-        for make in (lambda: Shape((1,) * 22), lambda: Shape.simplex(8, 8), lambda: Shape((2000, 2000, 2000))):
+        for make in (lambda: Shape((1,) * 22), lambda: Shape.simplex(12, 12), lambda: Shape((2000, 2000, 2000))):
             with pytest.raises(CoefficientBudgetError, match="over the budget"):
                 make()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_constructor_refuses_a_coefficient_above_the_cap():
+    shape = Shape.simplex(2, 1)
+    with pytest.raises(CoefficientIndexError, match="above its cap"):
+        WeilElement(shape, (1, 0, 0, 5))
+    a = WeilElement(shape, (1, 2, Fraction(1, 3), 0))
+    assert a == one(shape) + generator(shape, 0) * 2 + generator(shape, 1) * Fraction(1, 3)
+    assert a + a == a * constant(shape, 2) and hash(a + a) == hash(a * constant(shape, 2))
+
+
+def test_live_and_pair_counts_match_the_listed_sets():
+    rng = random.Random("weil:counts")
+    for _ in range(150):
+        shape = _random_capped_shape(rng)
+        assert shape._length == len(shape.monomials())
+        assert shape.plan_pairs() == sum(len(qs) for _, qs in _mul_plan(shape.orders, shape.degree))
+    assert Shape.simplex(8, 8).plan_pairs() == math.comb(24, 16) == 735471
+    assert Shape.simplex(9, 9).plan_pairs() == math.comb(27, 18) == 4686825
+    assert Shape((1,) * 14).plan_pairs() == 3**14
+    for shape in (Shape((1,) * 15), Shape.simplex(10, 10), Shape((19, 19, 19))):
+        with pytest.raises(CoefficientBudgetError, match="product pairs, over the budget"):
+            shape.plan_pairs()
+
+
+def test_a_dense_view_over_the_slot_budget_is_refused():
+    shape = Shape.simplex(9, 9)
+    a = one(shape) + generator(shape, 8)
+    assert str(a) == "1 + d8" and a.coefficient((0,) * 8 + (1,)) == 1
+    assert repr(a) == "<WeilElement over (9,9,9,9,9,9,9,9,9) deg<=9: 1 + d8>"
+    for view in (lambda: a.coeffs, lambda: a.nums, shape.box):
+        with pytest.raises(CoefficientBudgetError, match="dense view"):
+            view()
 
 
 # -- Fraction-free storage and powering -------------------------------------------
