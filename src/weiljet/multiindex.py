@@ -120,27 +120,32 @@ class Layout:
 def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) -> int:
     """The size of {alpha <= orders, |alpha| <= cap} for a cap under |orders|,
     or with ``pairs`` the number of pairs (alpha, beta) whose sum lies in it,
-    without listing either. ``ways[t]`` counts by total degree t over the
-    coordinates so far; a coordinate of order k adds a degree c <= k to it in
-    one way, or for pairs in c + 1 ways (a + b = c), summed over that window
-    by prefix sums in O(cap). A count past ``limit`` returns at once, as a
-    lower bound.
+    without listing either. ``ways[t]`` counts by total degree t over all
+    coordinates but the largest, a; one of order k adds a degree c <= k in
+    one way, or for pairs in c + 1 ways (alpha_i + beta_i = c), summed over
+    that window by prefix sums. The largest then adds m = min(a, cap - t) + 1
+    degrees to each t, in m or m(m+1)/2 ways. A count past ``limit`` returns
+    at once as a lower bound, first the size of a rectangle in the set, so
+    the lists, min(cap, |orders| - a) + 1 long, hold O(n sqrt(limit)) ints.
     """
-    if cap > limit:
-        return cap + 1  # the set holds a chain of every degree up to the cap
-    ways = [1] + [0] * cap
-    for k in orders:
-        if sum(ways) > limit:
-            break
+    *rest, a = sorted(orders)
+    b, top = min(rest[-1], cap // 2), min(cap, sum(rest))
+    count = (b + 1) * (min(a, cap - b) + 1)  # degrees <= b and <= cap - b in the two largest
+    if count > limit:
+        return count
+    ways = [1] + [0] * top
+    for k in rest:
         # Prefix sums of ways[s] and of s * ways[s]; window s in [t - k, t].
         s0 = [0, *accumulate(ways)]
-        s1 = [0, *accumulate(map(operator.mul, range(cap + 1), ways))]
-        window = [(t, max(0, t - k)) for t in range(cap + 1)]
+        s1 = [0, *accumulate(map(operator.mul, range(top + 1), ways))]
+        window = ((t, max(0, t - k)) for t in range(top + 1))
         if pairs:  # the sum of (t - s + 1) * ways[s]
             ways = [(t + 1) * (s0[t + 1] - s0[lo]) - (s1[t + 1] - s1[lo]) for t, lo in window]
         else:
             ways = [s0[t + 1] - s0[lo] for t, lo in window]
-    return sum(ways)
+        if (count := sum(ways)) > limit:
+            return count
+    return sum(w * (m * (m + 1) // 2 if pairs else m) for t, w in enumerate(ways) for m in (min(a, cap - t) + 1,))
 
 
 @lru_cache(maxsize=None)

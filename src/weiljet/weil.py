@@ -184,15 +184,15 @@ class Shape:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(orders: MultiIndex, degree: int | None = None, ranked: bool = False):
+def _mul_plan(orders: MultiIndex, degree: int | None = None):
     """For each live position p, the pair (p, qs) listing the positions q
     with slot[p] + slot[q] live. Their product lands at p + q, because
     idx(alpha + beta) = idx(alpha) + idx(beta) while the sum stays in the
     box. For slot[p] = alpha, qs is the memoised position set of
     {beta <= k - alpha, |beta| <= cap - |alpha|}, limits cut to the room and
     shared by every alpha with the same ones, so the plan is built in
-    O(pairs). ``ranked`` gives a capped shape's rows over element slots in
-    the same pass: (i, js, ts), js the slots of the qs, ts of the products.
+    O(pairs). A capped shape's rows are over element slots, from the same
+    pass: (i, js, ts), js the slots of the qs and ts of their products.
     """
     Shape(orders, degree).plan_pairs()
     lay = layout(orders)
@@ -204,7 +204,7 @@ def _mul_plan(orders: MultiIndex, degree: int | None = None, ranked: bool = Fals
         for p, alpha in zip(ps, lay.decode(ps))
         for room in (cap - sum(alpha),)
     ]
-    if not ranked:
+    if degree is None:
         return tuple(rows)
     rank, slots = lay.live(cap)[1], {}  # id of a shared position set -> its slots
     for i, (p, qs) in enumerate(rows):
@@ -350,7 +350,7 @@ class WeilElement:
                             if cb := b[q]:
                                 out[p + q] += ca * cb
             else:
-                for i, js, ts in _mul_plan(shape.orders, shape.degree, True):
+                for i, js, ts in _mul_plan(shape.orders, shape.degree):
                     if ca := a[i]:
                         for j, t in zip(js, ts):
                             if cb := b[j]:
@@ -440,7 +440,7 @@ class WeilElement:
                         if cb := off_diagonal[p]:
                             acc[q + p] -= cb * z
         else:
-            for i, js, ts in _mul_plan(shape.orders, shape.degree, True):
+            for i, js, ts in _mul_plan(shape.orders, shape.degree):
                 z = acc[i] = acc[i] // b0
                 if z:
                     for j, t in zip(js, ts):

@@ -343,6 +343,8 @@ def test_capped_shape_respects_the_cap():
 
 
 def test_mul_plan_matches_brute_force_pairs():
+    # Rows over element slots: slot i times slot j lands in slot t, for
+    # (j, t) in zip(js, ts) of a capped row (i, js, ts) and t = i + j on a box.
     rng = random.Random("weil:plan")
     for _ in range(150):
         shape = _random_capped_shape(rng)
@@ -350,16 +352,19 @@ def test_mul_plan_matches_brute_force_pairs():
         box = shape.box()
         pos = {alpha: r for r, alpha in enumerate(box)}
         live = [p for p, alpha in enumerate(box) if sum(alpha) <= cap]
-        expected = {}
+        slot = {p: i for i, p in enumerate(live)}
+        expected = []
         for p in live:
-            pairs = expected[p] = set()
+            pairs = []
             for q, beta in enumerate(box):
                 gamma = tuple(a + b for a, b in zip(box[p], beta))
                 if gamma in pos and sum(gamma) <= cap:
-                    pairs.add((q, pos[gamma]))
+                    pairs.append((slot[q], slot[pos[gamma]]))
+            expected.append((slot[p], sorted(pairs)))
         plan = _mul_plan(shape.orders, shape.degree)
-        assert [p for p, _ in plan] == live
-        assert {p: {(q, p + q) for q in qs} for p, qs in plan} == expected
+        if shape.degree is None:
+            plan = [(p, qs, [p + q for q in qs]) for p, qs in plan]
+        assert [(i, sorted(zip(js, ts))) for i, js, ts in plan] == expected
 
 
 def test_capped_ops_equal_box_ops_then_truncation():
@@ -430,9 +435,15 @@ def test_slice_coefficient_lowers_the_cap():
 def test_shapes_over_the_slot_budget_are_refused_before_allocating():
     assert Shape((1,) * 21).size() == SLOT_BUDGET
     assert Shape.simplex(7, 7).size() == SLOT_BUDGET
+    assert Shape((2**20 - 1, 1), 2**20 - 1)._length == SLOT_BUDGET - 1  # live monomials, just in budget
     tracemalloc.start()
     try:
-        for make in (lambda: Shape((1,) * 22), lambda: Shape.simplex(12, 12), lambda: Shape((2000, 2000, 2000))):
+        for make in (
+            lambda: Shape((1,) * 22),
+            lambda: Shape.simplex(12, 12),
+            lambda: Shape.simplex(2, 2**21 - 2),
+            lambda: Shape((2000, 2000, 2000)),
+        ):
             with pytest.raises(CoefficientBudgetError, match="over the budget"):
                 make()
         _, peak = tracemalloc.get_traced_memory()
@@ -455,7 +466,7 @@ def test_live_and_pair_counts_match_the_listed_sets():
     for _ in range(150):
         shape = _random_capped_shape(rng)
         assert shape._length == len(shape.monomials())
-        assert shape.plan_pairs() == sum(len(qs) for _, qs in _mul_plan(shape.orders, shape.degree))
+        assert shape.plan_pairs() == sum(len(row[1]) for row in _mul_plan(shape.orders, shape.degree))
     assert Shape.simplex(8, 8).plan_pairs() == math.comb(24, 16) == 735471
     assert Shape.simplex(9, 9).plan_pairs() == math.comb(27, 18) == 4686825
     assert Shape((1,) * 14).plan_pairs() == 3**14
