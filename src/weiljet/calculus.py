@@ -57,6 +57,7 @@ from .weil import (
     generator,
     monomial,
     rational_to_json,
+    seeded,
     zero,
 )
 
@@ -135,12 +136,7 @@ def evaluate_perturbed(f: Expr, x, shape: Shape, seeds) -> WeilElement:
     ``weil.PAIR_BUDGET`` is refused first.
     """
     shape.plan_pairs()
-    args = []
-    for xi, ts in zip(x, seeds):
-        arg = constant(shape, xi)
-        for t in ts:
-            arg = arg + generator(shape, t)
-        args.append(arg)
+    args = [seeded(shape, xi, ts) for xi, ts in zip(x, seeds)]
     return evaluate(f, args, lift=partial(constant, shape))
 
 

@@ -21,7 +21,9 @@ literal ("1/2" is the constant one half); any other slash is division
 ("1 / 2" and "1/(2)" are quotients). Decimal literals convert exactly to
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
 exponent must be a bare natural literal. At most ``MAX_NESTING``
-parentheses and unary minus signs may be open at once.
+parentheses and unary minus signs may be open at once. The tokenizer is one
+``findall`` giving a (whitespace, text) pair per token, and the parser
+dispatches on the text; a position is worked out only for a ParseError.
 
 ``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
 whose printed form stays within that nesting limit: the printer brackets
@@ -38,7 +40,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain
 
 from .errors import WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
@@ -80,7 +82,8 @@ class Const(Expr):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", Fraction(self.value))
 
 
 @dataclass(frozen=True)
@@ -185,14 +188,13 @@ def arity(e: Expr) -> int:
 # positioned ParseError.
 MAX_NESTING = 200
 
-# One match per token, after any whitespace; the capture group that matched
-# (``m.lastindex``) is the token's kind. The last group takes any other
-# non-blank character, which no token may start with.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d+)|(\d+)|(x\d+)|(\+)|(-)|(\*)|(/)|(\^)|(\()|(\))|(\S))")
-_EOF, _DEC, _NAT, _VAR, _PLUS, _MINUS, _TIMES, _SLASH, _CARET, _LPAREN, _RPAREN, _BAD = range(12)
-_KIND = itemgetter(0)
-_ADDITIVE = {_PLUS: Add, _MINUS: Sub}
-_MULTIPLICATIVE = {_TIMES: Mul, _SLASH: Div}
+# One (whitespace, text) pair per token, listed by one findall. Its search
+# skips any character no token may start with, so the pairs then fall short
+# of the source without its trailing whitespace, and only then is that
+# character located.
+_TOKEN_RE = re.compile(r"(\s*)(\d+\.\d+|\d+|x\d+|[-+*/^()])")
+_ADDITIVE = {"+": Add, "-": Sub}
+_MULTIPLICATIVE = {"*": Mul, "/": Div}
 _END = "end of input"
 
 
@@ -203,21 +205,28 @@ def _error(source: str, message: str, offset: int, expected: tuple[str, ...] = (
 
 
 def _tokenize(source: str) -> list:
-    """(kind, text, start, end) per token, closed by an end-of-input token."""
-    tokens = [(k := m.lastindex, m[k], m.start(k), m.end()) for m in _TOKEN_RE.finditer(source)]
-    if _BAD in map(_KIND, tokens):  # scanned in C; the generator runs only on error
-        _, text, start, _ = next(t for t in tokens if t[0] == _BAD)
+    """(whitespace, text) per token, closed by an end-of-input token: the
+    trailing whitespace and empty text."""
+    tokens = _TOKEN_RE.findall(source)
+    body = source.rstrip()
+    if sum(map(len, chain.from_iterable(tokens))) != len(body):
+        end = 0
+        while m := _TOKEN_RE.match(source, end):
+            end = m.end()
+        start = len(source) - len(source[end:].lstrip())
         raise _error(
-            source, f"unexpected character {text!r}", start,
+            source, f"unexpected character {source[start]!r}", start,
             ("number", "variable", "operator", "parenthesis"),
         )
-    tokens.append((_EOF, "", len(source), len(source)))
+    tokens.append((source[len(body):], ""))
     return tokens
 
 
 class _Parser:
-    # Recursive descent over the token list; the end-of-input token is never
-    # stepped over, so every lookahead stays in range.
+    # Recursive descent over the token list, dispatching on the token text;
+    # the end-of-input token is never stepped over, so every lookahead stays
+    # in range. Errors name a token by its index, whose offset is the length
+    # of the pairs before it.
 
     def __init__(self, source: str):
         self.source = source
@@ -225,49 +234,47 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
-        kind, text, start, _ = self.tokens[self.pos]
-        found = _END if kind == _EOF else repr(text)
-        return _error(self.source, f"unexpected {found}", start, expected)
+    def error(self, message: str, pos: int, expected: tuple[str, ...] = ()) -> ParseError:
+        offset = sum(map(len, chain.from_iterable(self.tokens[:pos]))) + len(self.tokens[pos][0])
+        return _error(self.source, message, offset, expected)
 
-    def enter(self, start: int) -> None:
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        text = self.tokens[self.pos][1]
+        return self.error(f"unexpected {repr(text) if text else _END}", self.pos, expected)
+
+    def enter(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise _error(
-                self.source,
-                f"more than {MAX_NESTING} parentheses and unary minus signs open at once",
-                start,
-            )
+            raise self.error(f"more than {MAX_NESTING} parentheses and unary minus signs open at once", pos)
 
-    def integer(self, digits: str, start: int) -> int:
+    def integer(self, pos: int, digits: str) -> int:
         # The lexer admits decimal digits only, so the one way int() fails is
         # a literal over the interpreter's digit cap.
         try:
             return int(digits)
         except ValueError:
-            raise _error(
-                self.source,
+            raise self.error(
                 f"literal of {len(digits)} digits is over the limit of {int_digit_limit()} "
                 "digits for integer conversion",
-                start,
+                pos,
             ) from None
 
     def parse(self) -> Expr:
         e = self.expr()
-        if self.tokens[self.pos][0] != _EOF:
+        if self.tokens[self.pos][1]:
             raise self.unexpected(("'+'", "'-'", "'*'", "'/'", _END))
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while (node := _ADDITIVE.get(self.tokens[self.pos][0])) is not None:
+        while (node := _ADDITIVE.get(self.tokens[self.pos][1])) is not None:
             self.pos += 1
             e = node(e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while (node := _MULTIPLICATIVE.get(self.tokens[self.pos][0])) is not None:
+        while (node := _MULTIPLICATIVE.get(self.tokens[self.pos][1])) is not None:
             self.pos += 1
             e = node(e, self.factor())
         return e
@@ -275,20 +282,18 @@ class _Parser:
     def factor(self) -> Expr:
         tokens = self.tokens
         negations = 0
-        while tokens[self.pos][0] == _MINUS:
-            self.enter(tokens[self.pos][2])
+        while tokens[self.pos][1] == "-":
+            self.enter(self.pos)
             self.pos += 1
             negations += 1
         e = self.atom()
-        if tokens[self.pos][0] == _CARET:
-            kind, text, start, _ = tokens[self.pos + 1]
-            if kind != _NAT:
-                raise _error(
-                    self.source, "exponent must be a nonnegative integer literal",
-                    start, ("natural number",),
-                )
-            self.pos += 2
-            e = Pow(e, self.integer(text, start))
+        if tokens[self.pos][1] == "^":
+            pos = self.pos + 1
+            text = tokens[pos][1]
+            if not text.isdecimal():
+                raise self.error("exponent must be a nonnegative integer literal", pos, ("natural number",))
+            self.pos = pos + 1
+            e = Pow(e, self.integer(pos, text))
         self.depth -= negations
         for _ in range(negations):
             e = Neg(e)
@@ -297,35 +302,31 @@ class _Parser:
     def atom(self) -> Expr:
         tokens = self.tokens
         pos = self.pos
-        kind, text, start, end = tokens[pos]
-        if kind == _NAT:
+        text = tokens[pos][1]
+        if text.isdecimal():
             self.pos = pos + 1
-            slash = tokens[pos + 1]
-            if slash[0] == _SLASH and slash[2] == end:
-                den_kind, den, den_start, _ = tokens[pos + 2]
-                if den_kind == _NAT and den_start == slash[3]:
+            if tokens[pos + 1] == ("", "/"):
+                space, den = tokens[pos + 2]
+                if not space and den.isdecimal():
                     # Adjacent nat/nat is a rational literal, not a quotient.
                     self.pos = pos + 3
-                    q = self.integer(den, den_start)
+                    q = self.integer(pos + 2, den)
                     if q == 0:
-                        raise _error(
-                            self.source, "zero denominator in rational literal",
-                            den_start, ("nonzero natural",),
-                        )
-                    return Const(Fraction(self.integer(text, start), q))
-            return Const(self.integer(text, start))
-        if kind == _VAR:
+                        raise self.error("zero denominator in rational literal", pos + 2, ("nonzero natural",))
+                    return Const(Fraction(self.integer(pos, text), q))
+            return Const(Fraction(self.integer(pos, text)))
+        if text[:1] == "x":
             self.pos = pos + 1
-            return Var(self.integer(text[1:], start))
-        if kind == _DEC:
+            return Var(self.integer(pos, text[1:]))
+        if "." in text:
             self.pos = pos + 1
             whole, frac = text.split(".")
-            return Const(Fraction(self.integer(whole + frac, start), 10 ** len(frac)))
-        if kind == _LPAREN:
-            self.enter(start)
+            return Const(Fraction(self.integer(pos, whole + frac), 10 ** len(frac)))
+        if text == "(":
+            self.enter(pos)
             self.pos = pos + 1
             e = self.expr()
-            if tokens[self.pos][0] != _RPAREN:
+            if tokens[self.pos][1] != ")":
                 raise self.unexpected(("')'",))
             self.pos += 1
             self.depth -= 1
@@ -404,17 +405,22 @@ def evaluate(e: Expr, args, lift=None):
 
     ``lift`` embeds a Fraction constant into the carrier (identity by
     default, so rational arguments need nothing extra; pass ``float`` for
-    binary64, or a jet-constant embedding for Weil carriers). Arguments must
-    cover arity(e). Jets divide by one triangular solve; other carriers
-    multiply by ``1 / right``, so floats keep their bits. Division fails with
-    EvaluationError when the denominator is not invertible.
+    binary64, or a jet-constant embedding for Weil carriers). Jets divide by
+    one triangular solve; other carriers multiply by ``1 / right``, so floats
+    keep their bits. Division fails with EvaluationError when the denominator
+    is not invertible.
+
+    Arguments must cover arity(e), or ArityMismatchError is raised. The count
+    is checked only when a variable is missing, not walked up front, so an
+    EvaluationError met before the first missing variable is raised instead.
     """
     args = tuple(args)
-    if len(args) < arity(e):
-        raise ArityMismatchError(
-            f"expression has arity {arity(e)} but got {len(args)} arguments"
-        )
-    return _evaluate(e, args, lift or _identity_lift, ())
+    try:
+        return _evaluate(e, args, lift or _identity_lift, ())
+    except IndexError:
+        if len(args) >= arity(e):
+            raise
+    raise ArityMismatchError(f"expression has arity {arity(e)} but got {len(args)} arguments")
 
 
 def _evaluate(e: Expr, args, lift, path):

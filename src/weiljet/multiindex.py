@@ -88,7 +88,9 @@ class Layout:
         positions of {beta <= limits, |beta| <= room}, limits a prefix of the
         orders. Each is the union over the last coordinate's value b of a
         smaller set shifted by b strides, built once from shared parts; the
-        box above a cap is never visited. The memo dies with the function.
+        box above a cap is never visited. A set in one coordinate, whose
+        stride is 1, is a ``range``, so a univariate plan holds no lists. The
+        memo dies with the function.
         """
         strides, memo = self.strides, {}
 
@@ -99,6 +101,8 @@ class Layout:
             if out is None:
                 if not limits:
                     out = [0] if room >= 0 else []
+                elif len(limits) == 1:
+                    out = range(min(limits[0], room) + 1)
                 else:
                     s, head = strides[len(limits) - 1], limits[:-1]
                     out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in positions(head, room - b)]

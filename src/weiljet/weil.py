@@ -476,32 +476,39 @@ def one(shape: Shape) -> WeilElement:
     return constant(shape, 1)
 
 
-def _unit(shape: Shape, slot: int, num: int = 1, den: int = 1) -> WeilElement:
-    # num/den (in lowest terms) at one slot, zero elsewhere.
+def _unit(shape: Shape, slot: int) -> WeilElement:
+    # One at one slot, zero elsewhere.
     nums = [0] * shape._length
-    nums[slot] = num
-    return _raw(shape, tuple(nums), den)
+    nums[slot] = 1
+    return _raw(shape, tuple(nums), 1)
 
 
 def constant(shape: Shape, c) -> WeilElement:
     """Embed a scalar: coefficient c at alpha = 0, zero elsewhere."""
-    if not isinstance(c, (int, Fraction)):
-        c = Fraction(c)
-    return _unit(shape, 0, c.numerator, c.denominator)
+    return seeded(shape, c, ())
 
 
 def generator(shape: Shape, i: int) -> WeilElement:
     """The i-th infinitesimal generator d_i (requires k_i >= 1; a cap is at
     least k_i after normalisation, so it never kills d_i)."""
-    if not 0 <= i < shape.arity:
-        raise multiindex.ArityMismatchError(
-            f"generator index {i} out of range for shape {shape}"
-        )
-    if shape.orders[i] == 0:
-        raise DegenerateGeneratorError(
-            f"generator d{i} is identically zero in shape {shape}"
-        )
-    return _unit(shape, shape._slot(layout(shape.orders).strides[i]))
+    return seeded(shape, 0, (i,))
+
+
+def seeded(shape: Shape, c, generators) -> WeilElement:
+    """c plus the generator d_t for each t in ``generators``, built in one
+    step: c's numerator at alpha = 0 and its denominator at each d_t, over
+    that denominator."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    nums = [0] * shape._length
+    nums[0] = c.numerator
+    for t in generators:
+        if not 0 <= t < shape.arity:
+            raise multiindex.ArityMismatchError(f"generator index {t} out of range for shape {shape}")
+        if shape.orders[t] == 0:
+            raise DegenerateGeneratorError(f"generator d{t} is identically zero in shape {shape}")
+        nums[shape._slot(layout(shape.orders).strides[t])] += c.denominator
+    return _raw(shape, tuple(nums), c.denominator)
 
 
 def monomial(shape: Shape, alpha) -> WeilElement:

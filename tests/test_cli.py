@@ -297,6 +297,20 @@ def test_taylor_simplex_in_seven_variables_stays_small(capsys):
     assert peak < (234 << 20) // 10
 
 
+def test_a_univariate_jet_of_high_order_stays_small(capsys):
+    # A plan of one position list per row held all 8,386,560 pairs of this
+    # 4,095-slot jet and peaked at 294 MB traced; one range per row holds
+    # none, and the request peaks near 2 MB.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(["derive", "--expr", "x0^3+x0", "--at", "1", "--alpha", "4094"], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "0\n", "")
+    assert peak < 16 << 20
+
+
 def test_fd_check_overflow_fails_cleanly(capsys):
     code, out, err = run_cli(["fd-check", "--expr", "x0^2000", "--at", "10", "--wrt", "0"], capsys)
     assert code == 2

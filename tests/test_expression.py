@@ -186,6 +186,52 @@ def test_evaluate_requires_enough_arguments():
         evaluate(parse("x0 + x1"), [Fraction(1)])
 
 
+_JET = Shape((2, 1))
+_CARRIERS = {
+    "fraction": ([Fraction(3)], None),
+    "float": ([3.0], float),
+    "jet": ([constant(_JET, 3) + generator(_JET, 0)], lambda c: constant(_JET, c)),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(_CARRIERS))
+@pytest.mark.parametrize(
+    "source",
+    ["x0 + x1", "x1^3 * x0", "x0 / x1", "x0 / (1 + x1^2)", "(x0 - x2)^2 + 1"],
+)
+def test_a_missing_variable_is_an_arity_error_on_every_carrier(carrier, source):
+    # The count is checked when the first missing variable is looked up, so
+    # one under a Pow or a Div is found too.
+    args, lift = _CARRIERS[carrier]
+    with pytest.raises(ArityMismatchError, match=f"arity {arity(parse(source))} but got 1 arguments"):
+        evaluate(parse(source), args, lift=lift)
+
+
+@pytest.mark.parametrize("carrier", sorted(_CARRIERS))
+def test_a_missing_variable_inside_a_composition_is_an_arity_error(carrier):
+    args, lift = _CARRIERS[carrier]
+    composed = Compose(parse("x0 * x1^2"), (parse("x0 + 1"), parse("1 / (x0 - x3)")))
+    with pytest.raises(ArityMismatchError, match="arity 4 but got 1 arguments"):
+        evaluate(composed, args, lift=lift)
+    # A substitution the outer expression does not use is never evaluated.
+    unused = Compose(parse("x0^2"), (parse("x0"), parse("x7")))
+    assert evaluate(unused, [Fraction(3)]) == 9
+
+
+def test_an_evaluation_error_before_the_missing_variable_wins():
+    # Arity is checked on the first missing variable, not before evaluating.
+    with pytest.raises(EvaluationError):
+        evaluate(parse("1/(x0 - 3) + x1"), [Fraction(3)])
+    with pytest.raises(ArityMismatchError):
+        evaluate(parse("x1 + 1/(x0 - 3)"), [Fraction(3)])
+
+
+def test_const_keeps_the_fraction_it_is_given():
+    half = Fraction(1, 2)
+    assert Const(half).value is half
+    assert Const(2).value == 2 and type(Const(2).value) is Fraction
+
+
 def test_evaluation_error_carries_location():
     with pytest.raises(EvaluationError) as info:
         evaluate(parse("1 + 1/(x0-2)"), [Fraction(2)])

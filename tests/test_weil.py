@@ -27,6 +27,7 @@ from weiljet.weil import (
     generator,
     monomial,
     one,
+    seeded,
     slice_coefficient,
     zero,
 )
@@ -72,6 +73,21 @@ def test_generator_examples():
         generator(Shape((1, 0)), 1)
     with pytest.raises(ArityMismatchError):
         generator(Shape((1,)), 3)
+
+
+@pytest.mark.parametrize("shape", [Shape((2, 1, 3)), Shape.simplex(3, 2), Shape((1,)), Shape(())])
+@pytest.mark.parametrize("c", [Fraction(-7, 6), 0, 5, Fraction(1, 3)])
+def test_seeded_is_the_constant_plus_its_generators(shape, c):
+    for ts in itertools.chain.from_iterable(itertools.combinations(range(shape.arity), r) for r in range(shape.arity + 1)):
+        total = constant(shape, c)
+        for t in ts:
+            total = total + generator(shape, t)
+        got = seeded(shape, c, ts)
+        assert got == total and (got.nums, got.den) == (total.nums, total.den)
+    with pytest.raises(ArityMismatchError):
+        seeded(shape, c, (shape.arity,))
+    with pytest.raises(DegenerateGeneratorError):
+        seeded(Shape((1, 0)), c, (0, 1))
 
 
 def test_mul_examples():
