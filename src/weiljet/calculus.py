@@ -54,8 +54,8 @@ from .weil import (
     Shape,
     WeilElement,
     constant,
+    from_coefficients,
     generator,
-    monomial,
     rational_to_json,
     seeded,
     zero,
@@ -288,9 +288,7 @@ def expand_sum_of_D(f: Expr, x, m: int):
     if m < 0:
         raise ValueError("number of generators must be a natural")
     shape = Shape((1,) * m)
-    delta = zero(shape)
-    for i in range(m):
-        delta = delta + generator(shape, i)
+    delta = seeded(shape, 0, range(m))
     x = Fraction(x)
     lhs = evaluate_perturbed(f, (x,), shape, (range(m),))
     # f^(n)(x) for n <= m from one jet over d^(m+1) = 0; the check below
@@ -309,17 +307,20 @@ def expand_sum_of_D(f: Expr, x, m: int):
 
 
 def taylor_sum(table: DerivTable, shape: Shape) -> WeilElement:
-    """Reconstruct sum_alpha value(alpha) d^alpha / alpha! inside ``shape``.
+    """Reconstruct sum_alpha value(alpha) d^alpha / alpha! inside ``shape``
+    in one pass, each coefficient at its slot as in ``from_coefficients``.
 
     Indices that are not live monomials of the shape contribute zero, so a
-    simplex table reconstructs to the same element as its box part.
+    simplex table reconstructs to the same element as its box part; a
+    nonzero entry of the wrong length raises ``ArityMismatchError``.
     """
-    acc = zero(shape)
+    live = {}
     for alpha in table.enumeration():
-        value = table.entries[alpha]
-        if value:
-            acc = acc + monomial(shape, alpha) * (value / multiindex.factorial(alpha))
-    return acc
+        if (value := table.entries[alpha]) and shape.contains(alpha):
+            live[alpha] = Fraction(value, multiindex.factorial(alpha))
+        elif value and len(alpha) != shape.arity:
+            raise ArityMismatchError(f"monomial exponent {alpha} has wrong length for shape {shape}")
+    return from_coefficients(shape, live)
 
 
 # -- Differentiation rule checks ------------------------------------------------

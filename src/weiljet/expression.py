@@ -21,7 +21,8 @@ literal ("1/2" is the constant one half); any other slash is division
 ("1 / 2" and "1/(2)" are quotients). Decimal literals convert exactly to
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
 exponent must be a bare natural literal. At most ``MAX_NESTING``
-parentheses and unary minus signs may be open at once. The tokenizer is one
+parentheses and unary minus signs may be open at once, and the tree may be
+at most ``MAX_DEPTH`` operators deep. The tokenizer is one
 ``findall`` giving a (whitespace, text) pair per token, and the parser
 dispatches on the text; a position is worked out only for a ParseError.
 
@@ -188,6 +189,15 @@ def arity(e: Expr) -> int:
 # positioned ParseError.
 MAX_NESTING = 200
 
+# How many levels deep the tree may be: each operator (binary, minus sign or
+# power) sits one level above its deepest operand, so a left-deep chain of n
+# operators counts n. The AST walks (``evaluate``, ``variables``,
+# ``pretty_print``, ``substitute``, ``expr_to_json``, ``oracle.to_poly``)
+# recurse once per level; the deepest needs about 12 frames more than the
+# height (Python 3.11), so this leaves about 190 of the default 1000 for the
+# caller's own. A deeper tree is a ParseError at its first operator past it.
+MAX_DEPTH = 800
+
 # One (whitespace, text) pair per token, listed by one findall. Its search
 # skips any character no token may start with, so the pairs then fall short
 # of the source without its trailing whitespace, and only then is that
@@ -233,6 +243,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
+        self.height = 0  # tree levels of the last operand parsed
 
     def error(self, message: str, pos: int, expected: tuple[str, ...] = ()) -> ParseError:
         offset = sum(map(len, chain.from_iterable(self.tokens[:pos]))) + len(self.tokens[pos][0])
@@ -241,6 +252,9 @@ class _Parser:
     def unexpected(self, expected: tuple[str, ...]) -> ParseError:
         text = self.tokens[self.pos][1]
         return self.error(f"unexpected {repr(text) if text else _END}", self.pos, expected)
+
+    def too_deep(self, pos: int) -> ParseError:
+        return self.error(f"expression more than {MAX_DEPTH} levels deep", pos)
 
     def enter(self, pos: int) -> None:
         self.depth += 1
@@ -268,19 +282,35 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while (node := _ADDITIVE.get(self.tokens[self.pos][1])) is not None:
-            self.pos += 1
+            # The new node sits one level above its deeper operand.
+            pos = self.pos
+            height = self.height
+            self.pos = pos + 1
             e = node(e, self.term())
+            if self.height > height:
+                height = self.height
+            if height >= MAX_DEPTH:
+                raise self.too_deep(pos)
+            self.height = height + 1
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while (node := _MULTIPLICATIVE.get(self.tokens[self.pos][1])) is not None:
-            self.pos += 1
+            pos = self.pos
+            height = self.height
+            self.pos = pos + 1
             e = node(e, self.factor())
+            if self.height > height:
+                height = self.height
+            if height >= MAX_DEPTH:
+                raise self.too_deep(pos)
+            self.height = height + 1
         return e
 
     def factor(self) -> Expr:
         tokens = self.tokens
+        start = self.pos
         negations = 0
         while tokens[self.pos][1] == "-":
             self.enter(self.pos)
@@ -294,6 +324,14 @@ class _Parser:
                 raise self.error("exponent must be a nonnegative integer literal", pos, ("natural number",))
             self.pos = pos + 1
             e = Pow(e, self.integer(pos, text))
+            if self.height >= MAX_DEPTH:
+                raise self.too_deep(pos - 1)
+            self.height += 1
+        if negations:
+            # The minus sign at level MAX_DEPTH + 1 is the one to report.
+            if self.height + negations > MAX_DEPTH:
+                raise self.too_deep(start + negations - (MAX_DEPTH + 1 - self.height))
+            self.height += negations
         self.depth -= negations
         for _ in range(negations):
             e = Neg(e)
@@ -303,6 +341,7 @@ class _Parser:
         tokens = self.tokens
         pos = self.pos
         text = tokens[pos][1]
+        self.height = 0
         if text.isdecimal():
             self.pos = pos + 1
             if tokens[pos + 1] == ("", "/"):
@@ -338,7 +377,8 @@ def parse(source: str) -> Expr:
     """Parse source text into an AST, or raise ParseError with position.
 
     Nesting deeper than ``MAX_NESTING`` parentheses and unary minus signs is
-    a ParseError at the first sign past the limit.
+    a ParseError at the first sign past the limit, and a tree deeper than
+    ``MAX_DEPTH`` levels one at the first operator past it.
     """
     return _Parser(source).parse()
 

@@ -511,17 +511,15 @@ def _box_expansion(rng: random.Random) -> Optional[str]:
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)
     table = taylor_box(f, x, k)
-    recon = zero(shape)
-    for alpha in shape.box():
-        value = mixed_derivative(f, alpha, x)
+    values = {alpha: mixed_derivative(f, alpha, x) for alpha in shape.box()}
+    for alpha, value in values.items():
         if value != table.entries[alpha]:
             return _failure(
                 f"independent extraction at {alpha} for f={pretty_print(f)}, x={x}, k={k}",
                 value,
                 table.entries[alpha],
             )
-        entry = {alpha: value / factorial(alpha)}
-        recon = recon + from_coefficients(shape, entry)
+    recon = from_coefficients(shape, {alpha: value / factorial(alpha) for alpha, value in values.items()})
     if jet != recon:
         return _failure(f"box expansion for f={pretty_print(f)}, x={x}, k={k}", jet, recon)
     return None

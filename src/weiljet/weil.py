@@ -34,7 +34,9 @@ the constant term, L the nilpotency bound); a constant b only scales a.
 
 A shape is held to ``SLOT_BUDGET`` live monomials and its plan to
 ``PAIR_BUDGET`` pairs, each counted before anything is built; a dense view is
-held to ``SLOT_BUDGET`` slots. Over a budget raises ``CoefficientBudgetError``.
+held to ``SLOT_BUDGET`` slots, and a power squares no element whose numerators
+or denominator pass ``COEFF_BIT_BUDGET`` bits. Over a budget raises
+``CoefficientBudgetError``.
 
 Arithmetic between elements of different shapes is an error. Callers embed
 scalars explicitly via ``constant``; the only implicit coercion is scalar
@@ -77,7 +79,8 @@ class CoefficientIndexError(WeiljetError):
 
 
 class CoefficientBudgetError(WeiljetError):
-    """A shape over ``SLOT_BUDGET`` slots or ``PAIR_BUDGET`` plan pairs."""
+    """A shape over ``SLOT_BUDGET`` slots or ``PAIR_BUDGET`` plan pairs, or a
+    power whose next square is over ``COEFF_BIT_BUDGET`` bits."""
 
 
 # Live monomials per element (16 MiB of pointers), and the dense slots of a
@@ -88,6 +91,12 @@ SLOT_BUDGET = 2**21
 # degree 9 (4,686,825). A box plan of 7.6 M pairs took 3.2 s and 430 MB
 # (Python 3.11, 2 vCPUs).
 PAIR_BUDGET = 2**23
+# Bits of the numerators and denominator ``**`` may square. A 2^16-bit int
+# squares in 1.6 ms and takes a gcd in 5 ms; at 2^18 bits 14 ms and 92 ms, at
+# 2^20 130 ms and 1.3 s (Python 3.11, 2 vCPUs). ``x0^100000000`` at 10/3 is
+# refused after 0.23 s here, 0.69 s at 2^18. The CLI prints no int over the
+# interpreter's 4,300-digit cap (14,284 bits) anyway.
+COEFF_BIT_BUDGET = 2**16
 
 
 def _within_budget(shape: "Shape", count: int, budget: int, what: str) -> int:
@@ -379,7 +388,8 @@ class WeilElement:
 
     def __pow__(self, exponent: int):
         """Truncated power by square-and-multiply; a**0 == 1 (the 0^0 = 1
-        convention) and a**1 is a itself."""
+        convention) and a**1 is a itself. A square over ``COEFF_BIT_BUDGET``
+        bits raises ``CoefficientBudgetError`` before it is made."""
         exponent = operator.index(exponent)
         if exponent < 0:
             raise ValueError("use invert() for negative powers")
@@ -391,6 +401,9 @@ class WeilElement:
             exponent >>= 1
             if not exponent:
                 return one(self._shape) if out is None else out
+            bits = max(square._den.bit_length(), *map(int.bit_length, square._nums))
+            if bits > COEFF_BIT_BUDGET:
+                raise CoefficientBudgetError(f"a power would square {bits}-bit coefficients, over the budget of {COEFF_BIT_BUDGET} bits")
             square = square * square
 
     def is_zero(self) -> bool:

@@ -13,7 +13,7 @@ import weiljet
 from weiljet.calculus import mixed_derivative
 from weiljet.cli import main
 from weiljet.errors import int_digit_limit
-from weiljet.expression import MAX_NESTING, parse
+from weiljet.expression import MAX_DEPTH, MAX_NESTING, parse
 
 GOLDEN_TAYLOR = """\
 mode: box
@@ -171,6 +171,38 @@ def test_explicit_seed_overrides_environment(capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 9
+
+
+def test_a_failing_suite_reports_its_first_counterexample(capsys, monkeypatch):
+    # thm-5.1.3 asks the oracle once per instance; a wrong answer at
+    # instances 2 and 4 of 6 must fail the suite, the check and both outputs.
+    import weiljet.suites as suites
+
+    real, calls = suites.oracle_mixed, []
+
+    def wrong_at_2_and_4(f, alpha, x):
+        calls.append(alpha)
+        return real(f, alpha, x) + ((len(calls) - 1) % 6 in (2, 4))
+
+    monkeypatch.setattr(suites, "oracle_mixed", wrong_at_2_and_4)
+    result = suites.run_suite("thm-5.1.3", suites.SuiteConfig(instances=6, seed=0))
+    assert (result.passes, result.passed) == (4, False)
+    assert result.first_counterexample.startswith("instance 2: partial ")
+
+    code, out, err = run_cli(["check", "--suite", "thm-5.1.3", "--instances", "6", "--seed", "0"], capsys)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "thm-5.1.3  4/6  FAIL",
+        f"  counterexample: {result.first_counterexample}",
+        "overall: FAIL",
+    ]
+
+    argv = ["check", "--suite", "thm-5.1.3", "--instances", "6", "--seed", "0", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (2, "")
+    doc = json.loads(out)["result"]
+    assert doc["all_passed"] is False
+    assert doc["suites"] == [result.to_json()]
 
 
 def test_fd_check_pass(capsys):
@@ -377,6 +409,69 @@ def test_nesting_past_the_limit_is_a_parse_error(capsys, expr, column):
 def test_nesting_at_the_limit_still_parses(capsys, expr, value):
     code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
     assert (code, out, err) == (0, value + "\n", "")
+
+
+def _chain(op, terms):
+    return op.join(["x0"] * terms)
+
+
+_DEEP_SUM = "(" + _chain("+", MAX_DEPTH + 1) + ")"
+
+
+# Each case is (expression, column of the first token past MAX_DEPTH). A sum
+# of 3,000 terms ended in a RecursionError traceback.
+@pytest.mark.parametrize(
+    "expr, column",
+    [
+        (_chain("+", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
+        (_chain("+", 3000), 3 * (MAX_DEPTH + 1)),
+        (_chain("*", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
+        (_chain("/", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
+        (_DEEP_SUM + "^2", len(_DEEP_SUM) + 1),
+        (_DEEP_SUM + "*x0", len(_DEEP_SUM) + 1),
+        ("x0-" + _DEEP_SUM, 3),
+        # The inner sum is MAX_DEPTH - 5 deep; the sixth minus sign from the
+        # inside, the fifth from the left, is one level too many.
+        ("-" * 10 + "(" + _chain("+", MAX_DEPTH - 4) + ")", 5),
+    ],
+    ids=["sum", "long-sum", "product", "quotient", "power", "right-factor", "right-term", "minus-signs"],
+)
+def test_a_tree_past_the_depth_budget_is_a_parse_error(capsys, expr, column):
+    start = time.perf_counter()
+    code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("weiljet: error:") and f"more than {MAX_DEPTH} levels deep at line 1, column {column}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["derive", "--expr", _chain("+", MAX_DEPTH + 1), "--at", "2", "--alpha", "1"], str(MAX_DEPTH + 1)),
+        (["derive", "--expr=" + "-" * 199 + "(" + _chain("*", MAX_DEPTH - 198) + ")", "--at", "1", "--alpha", "1"], str(198 - MAX_DEPTH)),
+        (["taylor", "--expr", _chain("-", MAX_DEPTH + 1), "--at", "2", "--orders", "1", "--format", "json"], None),
+        (["fd-check", "--expr", _chain("+", MAX_DEPTH + 1), "--at", "2", "--wrt", "0"], None),
+    ],
+    ids=["sum", "negated-product", "taylor-json", "fd-check"],
+)
+def test_a_tree_at_the_depth_budget_still_runs(capsys, argv, value):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    if value is not None:
+        assert out == value + "\n"
+
+
+def test_a_huge_power_fails_at_the_bit_budget(capsys):
+    # x0^100000000 at 10 ran past a 10 s timeout squaring ever larger
+    # integers; at 1 every square stays small.
+    start = time.perf_counter()
+    code, out, err = run_cli(["derive", "--expr", "x0^100000000", "--at", "10", "--alpha", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "bit coefficients, over the budget" in err
+    code, out, err = run_cli(["derive", "--expr", "x0^100000000", "--at", "1", "--alpha", "1"], capsys)
+    assert (code, out, err) == (0, "100000000\n", "")
 
 
 # One past the interpreter's int/str digit cap by 700: 5000 at the default cap.

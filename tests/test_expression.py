@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljet.expression import (
+    MAX_DEPTH,
+    MAX_NESTING,
     Add,
     Compose,
     Const,
@@ -29,6 +32,7 @@ from weiljet.expression import (
 )
 from weiljet.errors import int_digit_limit
 from weiljet.multiindex import ArityMismatchError
+from weiljet.oracle import to_poly
 from weiljet.weil import Shape, constant, generator, one
 
 # ASTs reachable from the grammar: nonnegative constants, no composition.
@@ -123,6 +127,51 @@ def test_parse_error_positions():
 # message, line, column and expected kinds. Entries tagged "digit_cap" hold a
 # literal one digit over that cap and apply only where the interpreter has it.
 PARSE_CORPUS = Path(__file__).resolve().parent / "golden" / "parse_corpus.json"
+
+
+# Trees exactly MAX_DEPTH levels deep, each built a different way, and each
+# with one level more: a sum; a product under MAX_NESTING - 1 minus signs; a
+# power of a difference; MAX_NESTING parenthesized three-operator chains,
+# each the first operand of the next, continued by a sum.
+_DEEPEST = {
+    "sum": ("+".join(["x0"] * (MAX_DEPTH + 1)), "{}+x1"),
+    "negated-product": ("-" * (MAX_NESTING - 1) + "(" + "*".join(["x1"] * (MAX_DEPTH - MAX_NESTING + 2)) + ")", "x0*{}"),
+    "power": ("(" + "-".join(["x0"] * MAX_DEPTH) + ")^2", "-{}"),
+    "parenthesized": ("(" * MAX_NESTING + "x0" + ")*x1-x0+2" * MAX_NESTING + "+x1" * (MAX_DEPTH - 3 * MAX_NESTING), "{}-x1"),
+}
+
+
+def _height(e) -> int:
+    # Iterative, so it measures trees the recursive walks could not.
+    height, stack = 0, [(e, 0)]
+    while stack:
+        node, level = stack.pop()
+        height = max(height, level)
+        children = [getattr(node, name) for name in ("left", "right", "operand", "base") if hasattr(node, name)]
+        stack.extend((child, level + 1) for child in children)
+    return height
+
+
+@pytest.mark.parametrize("source", [source for source, _ in _DEEPEST.values()], ids=_DEEPEST)
+def test_the_deepest_accepted_tree_passes_every_walk(source):
+    e = parse(source)
+    assert _height(e) == MAX_DEPTH
+    assert variables(e) <= {0, 1}
+    x = [Fraction(3, 2), Fraction(-1, 3)]
+    value = evaluate(e, x)
+    shape = Shape((1, 1))
+    jets = [constant(shape, c) + generator(shape, i) for i, c in enumerate(x)]
+    assert evaluate(e, jets, lift=partial(constant, shape)).constant_term() == value
+    assert evaluate(substitute(e, [Var(1), Var(0)]), x[::-1]) == value
+    assert pretty_print(e).count("(") >= MAX_DEPTH
+    assert expr_to_json(e)["op"] in {"add", "sub", "mul", "neg", "pow"}
+    assert to_poly(e).arity == arity(e)
+
+
+@pytest.mark.parametrize("source, deeper", _DEEPEST.values(), ids=_DEEPEST)
+def test_one_level_more_is_a_parse_error(source, deeper):
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels deep"):
+        parse(deeper.format(source))
 
 
 def test_parse_matches_the_golden_corpus():

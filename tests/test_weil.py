@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from weiljet.expression import EvaluationError, evaluate, parse, pretty_print
 from weiljet.multiindex import ArityMismatchError, enumerate_box, enumerate_simplex
 from weiljet.weil import (
+    COEFF_BIT_BUDGET,
     SLOT_BUDGET,
     CoefficientBudgetError,
     CoefficientIndexError,
@@ -689,3 +690,20 @@ def test_pow_equals_repeated_multiplication():
     assert (one(Shape((2,))) + d) ** n == from_coefficients(Shape((2,)), {(0,): 1, (1,): n, (2,): n * (n - 1) // 2})
     with pytest.raises(ValueError):
         d ** -1
+
+
+def test_a_power_stops_before_squaring_past_the_bit_budget():
+    # (2 + d)^(2^j) = 2^(2^j) + 2^j * 2^(2^j - 1) d, whose largest numerator
+    # has 2^j + j bits: 16 squarings stay within the budget, and the square
+    # that would take them past it is refused before it is made.
+    s = Shape((1,))
+    a = constant(s, 2) + generator(s, 0)
+    assert COEFF_BIT_BUDGET == 2**16
+    top = a ** COEFF_BIT_BUDGET
+    assert top.nums == (2**COEFF_BIT_BUDGET, COEFF_BIT_BUDGET * 2 ** (COEFF_BIT_BUDGET - 1))
+    with pytest.raises(CoefficientBudgetError, match=f"{COEFF_BIT_BUDGET + 16}-bit coefficients, over the budget"):
+        a ** (2 * COEFF_BIT_BUDGET)
+    # A denominator counts too; a small running square never grows.
+    with pytest.raises(CoefficientBudgetError):
+        (constant(s, Fraction(1, 2)) + generator(s, 0)) ** (2 * COEFF_BIT_BUDGET)
+    assert (one(s) + generator(s, 0)) ** 10**8 == one(s) + generator(s, 0) * 10**8
