@@ -24,7 +24,6 @@ internal consistency check for symmetry of mixed derivatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -50,6 +49,7 @@ from .multiindex import (
     enumerate_box,
     enumerate_simplex,
 )
+from .value import Value, setfields
 from .weil import (
     Shape,
     WeilElement,
@@ -83,8 +83,7 @@ _INDEX_SETS = {
 }
 
 
-@dataclass(frozen=True)
-class DerivTable:
+class DerivTable(Value):
     """Derivative values keyed by multi-index, from one truncated expansion.
 
     ``mode`` records the index set: "box" for {alpha <= orders}, "simplex"
@@ -93,10 +92,10 @@ class DerivTable:
     these divided by alpha factorial.
     """
 
-    mode: str
-    arity: int
-    orders: MultiIndex
-    entries: dict
+    __slots__ = __match_args__ = ("mode", "arity", "orders", "entries")
+
+    def __init__(self, mode: str, arity: int, orders: MultiIndex, entries: dict):
+        setfields(self, mode, arity, orders, entries)
 
     def enumeration(self) -> tuple[MultiIndex, ...]:
         return _INDEX_SETS[self.mode](self.orders)
@@ -326,13 +325,11 @@ def taylor_sum(table: DerivTable, shape: Shape) -> WeilElement:
 # -- Differentiation rule checks ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    rule: str
-    passed: bool
-    instance: dict
-    lhs: object
-    rhs: object
+class RuleVerdict(Value):
+    __slots__ = __match_args__ = ("rule", "passed", "instance", "lhs", "rhs")
+
+    def __init__(self, rule: str, passed: bool, instance: dict, lhs: object, rhs: object):
+        setfields(self, rule, passed, instance, lhs, rhs)
 
     def describe(self) -> str:
         status = "pass" if self.passed else "fail"

@@ -24,12 +24,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
+from .value import Value
 from .weil import rational_to_json
 
 EXIT_OK = 0
@@ -48,14 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass
-class RunReport:
-    command: str
-    inputs: dict
-    result: dict
-    seed: int
-    ok: bool = True
-    table_lines: list = field(default_factory=list)
+class RunReport(Value):
+    __slots__ = __match_args__ = ("command", "inputs", "result", "seed", "ok", "table_lines")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, command: str, inputs: dict, result: dict, seed: int, ok: bool = True, table_lines=None):
+        self.command, self.inputs, self.result, self.seed, self.ok = command, inputs, result, seed, ok
+        self.table_lines = [] if table_lines is None else table_lines
 
     def to_json(self) -> dict:
         return {

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .errors import WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
+from .value import Value, setfield
 
 
 class ParseError(WeiljetError):
@@ -72,85 +72,132 @@ class EvaluationError(WeiljetError):
 # -- AST ----------------------------------------------------------------------
 
 
-class Expr:
-    """Base class for AST nodes."""
+_CLOSE = object()  # what follows a node's closing parenthesis in a repr walk
+
+
+class Expr(Value):
+    """Base class for AST nodes. Comparing, hashing and printing walk the
+    tree over an explicit stack, so a tree of any height takes no recursion."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for x, y in zip(a._values, b._values):
+                if x is y:
+                    continue
+                if isinstance(x, Expr) and x.__class__ is y.__class__:
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        # Every node's fields, depth first, each operand standing as None.
+        flat, todo = [], [self]
+        while todo:
+            for x in todo.pop()._values:
+                if isinstance(x, Expr):
+                    todo.append(x)
+                    x = None
+                flat.append(x)
+        return hash(tuple(flat))
+
+    def __repr__(self) -> str:
+        out, todo = [], [("", self)]  # (text to write, value to write after it)
+        while todo:
+            text, value = todo.pop()
+            out.append(text)
+            if isinstance(value, Expr):
+                out.append(f"{value.__class__.__qualname__}(")
+                todo.append((")", _CLOSE))
+                fields = zip(value.__match_args__, value._values)
+                todo.extend(reversed([(f"{', ' * (i > 0)}{name}=", x) for i, (name, x) in enumerate(fields)]))
+            elif value is not _CLOSE:
+                out.append(repr(value))
+        return "".join(out)
+
+
 class Const(Expr):
-    value: Fraction
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        setfield(self, "value", value if type(value) is Fraction else Fraction(value))
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __init__(self, index: int):
+        if index < 0:
             raise ValueError("variable index must be a natural")
+        setfield(self, "index", index)
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
     """A node with two operands. Each kind sets its printed ``symbol``, JSON
     ``tag`` and carrier operation ``op``; division is partial, so Div's
     ``op`` is None and evaluation divides itself."""
 
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 class Add(_Binary):
-    symbol, tag, op = "+", "add", operator.add
+    __slots__, symbol, tag, op = (), "+", "add", operator.add
 
 
 class Sub(_Binary):
-    symbol, tag, op = "-", "sub", operator.sub
+    __slots__, symbol, tag, op = (), "-", "sub", operator.sub
 
 
 class Mul(_Binary):
-    symbol, tag, op = "*", "mul", operator.mul
+    __slots__, symbol, tag, op = (), "*", "mul", operator.mul
 
 
 class Div(_Binary):
-    symbol, tag, op = "/", "div", None
+    __slots__, symbol, tag, op = (), "/", "div", None
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        setfield(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer literal")
+        setfield(self, "base", base)
+        setfield(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Compose(Expr):
-    """outer with Var(j) replaced by substitutions[j]; no surface syntax."""
+    """outer with Var(j) replaced by substitutions[j]; no surface syntax.
+    ``_used`` holds the variables of outer, which evaluation substitutes."""
 
-    outer: Expr
-    substitutions: tuple[Expr, ...]
+    __slots__ = ("outer", "substitutions", "_used")
+    __match_args__ = ("outer", "substitutions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "substitutions", tuple(self.substitutions))
-        if len(self.substitutions) < arity(self.outer):
-            raise ArityMismatchError(
-                f"composition needs {arity(self.outer)} substitutions, "
-                f"got {len(self.substitutions)}"
-            )
+    def __init__(self, outer: Expr, substitutions: tuple[Expr, ...]):
+        substitutions = tuple(substitutions)
+        used = variables(outer)
+        if used and len(substitutions) <= max(used):
+            raise ArityMismatchError(f"composition needs {max(used) + 1} substitutions, got {len(substitutions)}")
+        setfield(self, "outer", outer)
+        setfield(self, "substitutions", substitutions)
+        setfield(self, "_used", used)
 
 
 def variables(e: Expr) -> frozenset[int]:
@@ -166,9 +213,8 @@ def variables(e: Expr) -> frozenset[int]:
     if isinstance(e, Pow):
         return variables(e.base)
     if isinstance(e, Compose):
-        used = variables(e.outer)
         out: frozenset[int] = frozenset()
-        for j in used:
+        for j in e._used:
             out |= variables(e.substitutions[j])
         return out
     raise TypeError(f"not an Expr node: {e!r}")
@@ -482,9 +528,8 @@ def _evaluate(e: Expr, args, lift, path):
     if isinstance(e, Pow):
         return _evaluate(e.base, args, lift, path + (0,)) ** e.exponent
     if isinstance(e, Compose):
-        used = variables(e.outer)
         inner_args = [None] * len(e.substitutions)
-        for j in used:
+        for j in e._used:
             inner_args[j] = _evaluate(e.substitutions[j], args, lift, path + (1 + j,))
         return _evaluate(e.outer, tuple(inner_args), lift, path + (0,))
     raise TypeError(f"not an Expr node: {e!r}")

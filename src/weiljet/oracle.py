@@ -16,7 +16,6 @@ disjoint is what makes agreement between them meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
@@ -39,6 +38,7 @@ from .expression import (
     substitute,
 )
 from .multiindex import MultiIndex, as_multiindex
+from .value import Value, setfield
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -48,12 +48,14 @@ class NotPolynomialError(WeiljetError):
     """Expression contains division and has no sparse polynomial form."""
 
 
-@dataclass(frozen=True, eq=True)
-class SparsePoly:
+class SparsePoly(Value):
     """Canonical sparse form: exponent tuple -> nonzero rational coefficient."""
 
-    arity: int
-    terms: dict
+    __slots__ = __match_args__ = ("arity", "terms")
+
+    def __init__(self, arity: int, terms: dict):
+        setfield(self, "arity", arity)
+        setfield(self, "terms", terms)
 
     @staticmethod
     def make(arity: int, terms) -> "SparsePoly":

@@ -10,9 +10,7 @@ byte and instances are independent of execution order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .calculus import (
     check_rule,
@@ -31,6 +29,7 @@ from .errors import WeiljetError
 from .expression import Add, Const, Expr, Mul, Neg, Pow, Sub, Var, evaluate, pretty_print
 from .multiindex import factorial, leq
 from .oracle import oracle_mixed
+from .value import Value, setfields
 from .weil import Shape, WeilElement, constant, from_coefficients, generator, one, zero
 
 _ONE = Fraction(1)
@@ -42,18 +41,18 @@ class UnknownSuiteError(WeiljetError):
     """Requested suite name is not registered."""
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    instances: int = 200
-    seed: int = 0
+class SuiteConfig(Value):
+    __slots__ = __match_args__ = ("instances", "seed")
+
+    def __init__(self, instances: int = 200, seed: int = 0):
+        setfields(self, instances, seed)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    instances: int
-    passes: int
-    first_counterexample: Optional[str] = None
+class SuiteResult(Value):
+    __slots__ = __match_args__ = ("name", "instances", "passes", "first_counterexample")
+
+    def __init__(self, name: str, instances: int, passes: int, first_counterexample: str | None = None):
+        setfields(self, name, instances, passes, first_counterexample)
 
     @property
     def passed(self) -> bool:
@@ -141,13 +140,13 @@ def _failure(description: str, lhs, rhs) -> str:
 
 # -- Suite registry ---------------------------------------------------------------
 
-CheckFn = Callable[[random.Random], Optional[str]]
-
-_SUITE_CHECKS: dict[str, CheckFn] = {}
+# Suite name -> its check, which draws one instance from the random.Random
+# it is given and returns None if the instance passes, else a counterexample.
+_SUITE_CHECKS: dict = {}
 
 
 def _suite(name: str):
-    def register(fn: CheckFn) -> CheckFn:
+    def register(fn):
         _SUITE_CHECKS[name] = fn
         return fn
 
@@ -185,7 +184,7 @@ def run_suites(names, config: SuiteConfig = SuiteConfig()) -> list[SuiteResult]:
 
 
 @_suite("lemma-3.1.2")
-def _zero_is_nilpotent(rng: random.Random) -> Optional[str]:
+def _zero_is_nilpotent(rng: random.Random) -> str | None:
     shape = random_shape(rng)
     z = zero(shape)
     for m in range(6):
@@ -202,7 +201,7 @@ def _minimal_nilpotency(a: WeilElement) -> int:
 
 
 @_suite("lemma-3.1.3")
-def _nilpotents_absorb_products(rng: random.Random) -> Optional[str]:
+def _nilpotents_absorb_products(rng: random.Random) -> str | None:
     shape = random_shape(rng)
     a = random_element(rng, shape, zero_constant=True)
     b = random_element(rng, shape)
@@ -213,7 +212,7 @@ def _nilpotents_absorb_products(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-3.1.4")
-def _nilpotency_is_monotone(rng: random.Random) -> Optional[str]:
+def _nilpotency_is_monotone(rng: random.Random) -> str | None:
     shape = random_shape(rng)
     a = random_element(rng, shape, zero_constant=True)
     m = _minimal_nilpotency(a)
@@ -224,7 +223,7 @@ def _nilpotency_is_monotone(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-3.1.5")
-def _square_of_sum(rng: random.Random) -> Optional[str]:
+def _square_of_sum(rng: random.Random) -> str | None:
     shape = random_shape(rng)
     x = random_square_zero(rng, shape)
     y = random_square_zero(rng, shape)
@@ -236,7 +235,7 @@ def _square_of_sum(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-3.1.6")
-def _binomial_collapse(rng: random.Random) -> Optional[str]:
+def _binomial_collapse(rng: random.Random) -> str | None:
     orders = (1,) + tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2)))
     shape = Shape(orders)
     x = generator(shape, 0)
@@ -250,7 +249,7 @@ def _binomial_collapse(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-3.1.7")
-def _sum_power_vanishes(rng: random.Random) -> Optional[str]:
+def _sum_power_vanishes(rng: random.Random) -> str | None:
     k = rng.randint(0, 6)
     shape = Shape((1,) * k)
     total = zero(shape)
@@ -263,7 +262,7 @@ def _sum_power_vanishes(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-3.1.8")
-def _sum_power_factorial(rng: random.Random) -> Optional[str]:
+def _sum_power_factorial(rng: random.Random) -> str | None:
     k = rng.randint(0, 6)
     shape = Shape((1,) * k)
     total = zero(shape)
@@ -284,7 +283,7 @@ def _sum_power_factorial(rng: random.Random) -> Optional[str]:
 
 
 @_suite("thm-4.1.4")
-def _first_order_expansion(rng: random.Random) -> Optional[str]:
+def _first_order_expansion(rng: random.Random) -> str | None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((1,))
@@ -315,7 +314,7 @@ def _first_order_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-4.1.5")
-def _differentiation_formulas(rng: random.Random) -> Optional[str]:
+def _differentiation_formulas(rng: random.Random) -> str | None:
     x = random_rational(rng)
     c = random_rational(rng)
     if derivative(Const(c), x) != 0:
@@ -349,7 +348,7 @@ def _differentiation_formulas(rng: random.Random) -> Optional[str]:
 
 
 @_suite("lemma-4.1.6")
-def _two_generator_expansion(rng: random.Random) -> Optional[str]:
+def _two_generator_expansion(rng: random.Random) -> str | None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((1, 1))
@@ -366,7 +365,7 @@ def _two_generator_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("prop-4.2.1")
-def _second_order_expansion(rng: random.Random) -> Optional[str]:
+def _second_order_expansion(rng: random.Random) -> str | None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((2,))
@@ -383,7 +382,7 @@ def _second_order_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("prop-4.2.2")
-def _sum_of_generators_expansion(rng: random.Random) -> Optional[str]:
+def _sum_of_generators_expansion(rng: random.Random) -> str | None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     m = rng.randint(0, 4)
@@ -398,7 +397,7 @@ def _sum_of_generators_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("thm-4.2.3")
-def _truncated_taylor_one_variable(rng: random.Random) -> Optional[str]:
+def _truncated_taylor_one_variable(rng: random.Random) -> str | None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     m = rng.randint(0, 4)
@@ -422,7 +421,7 @@ def _truncated_taylor_one_variable(rng: random.Random) -> Optional[str]:
 
 
 @_suite("thm-5.1.3")
-def _partial_expansion(rng: random.Random) -> Optional[str]:
+def _partial_expansion(rng: random.Random) -> str | None:
     n = rng.randint(1, 3)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
@@ -447,7 +446,7 @@ def _partial_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("prop-5.1.4")
-def _mixed_partials_commute(rng: random.Random) -> Optional[str]:
+def _mixed_partials_commute(rng: random.Random) -> str | None:
     n = rng.randint(2, 3)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
@@ -470,7 +469,7 @@ def _mixed_partials_commute(rng: random.Random) -> Optional[str]:
 
 
 @_suite("thm-5.2.1")
-def _squarefree_expansion(rng: random.Random) -> Optional[str]:
+def _squarefree_expansion(rng: random.Random) -> str | None:
     n = rng.randint(0, 4)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
@@ -506,7 +505,7 @@ def _box_instance(rng: random.Random):
 
 
 @_suite("prop-5.2.3")
-def _box_expansion(rng: random.Random) -> Optional[str]:
+def _box_expansion(rng: random.Random) -> str | None:
     f, x, k = _box_instance(rng)
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)
@@ -526,7 +525,7 @@ def _box_expansion(rng: random.Random) -> Optional[str]:
 
 
 @_suite("thm-5.2.4")
-def _simplex_expansion(rng: random.Random) -> Optional[str]:
+def _simplex_expansion(rng: random.Random) -> str | None:
     f, x, k = _box_instance(rng)
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)

@@ -47,7 +47,6 @@ structure rather than a change of carrier.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, prod
@@ -55,6 +54,7 @@ from math import comb, gcd, lcm, prod
 from . import multiindex
 from .errors import WeiljetError
 from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
+from .value import Value, setfield
 
 Rational = Fraction
 
@@ -105,8 +105,7 @@ def _within_budget(shape: "Shape", count: int, budget: int, what: str) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Value):
     """Truncation orders k, one per generator (k_i = 0 kills d_i entirely),
     and an optional total-degree cap that also kills every d^alpha with
     |alpha| > degree.
@@ -115,12 +114,11 @@ class Shape:
     |k| or more drops nothing, so it becomes no cap. ``Shape(k)`` is the box.
     """
 
-    orders: MultiIndex
-    degree: int | None = None
+    __slots__ = ("orders", "degree", "_length")
+    __match_args__ = ("orders", "degree")
 
-    def __post_init__(self):
-        orders = as_multiindex(self.orders)
-        degree = self.degree
+    def __init__(self, orders: MultiIndex, degree: int | None = None):
+        orders = as_multiindex(orders)
         if degree is not None:
             degree = operator.index(degree)
             if degree < 0:
@@ -128,10 +126,10 @@ class Shape:
             orders = tuple(min(k, degree) for k in orders)
             if degree >= sum(orders):
                 degree = None
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "degree", degree)
+        setfield(self, "orders", orders)
+        setfield(self, "degree", degree)
         live = layout(orders).size if degree is None else multiindex.count_capped(orders, degree, SLOT_BUDGET)
-        object.__setattr__(self, "_length", _within_budget(self, live, SLOT_BUDGET, "coefficient slots"))
+        setfield(self, "_length", _within_budget(self, live, SLOT_BUDGET, "coefficient slots"))
 
     @classmethod
     def simplex(cls, n: int, bound: int) -> "Shape":
