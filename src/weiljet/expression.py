@@ -21,9 +21,13 @@ literal ("1/2" is the constant one half); any other slash is division
 ("1 / 2" and "1/(2)" are quotients). Decimal literals convert exactly to
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
 exponent must be a bare natural literal. At most ``MAX_NESTING``
-parentheses and unary minus signs may be open at once, and the tree may be
-at most ``MAX_DEPTH`` operators deep. The tokenizer is one
-``findall`` giving a (whitespace, text) pair per token, and the parser
+parentheses and unary minus signs may be open at once, since the parser
+recurses per parenthesis, and the tree may be at most ``MAX_DEPTH``
+operators deep, since evaluation (``_evaluate``) is the one tree walk that
+recurses per level. Every other walk (comparing, hashing, printing,
+pickling, ``variables``, ``substitute``, JSON and ``oracle.to_poly``) goes
+through ``walk`` and ``fold``, which keep an explicit stack. The tokenizer
+is one ``findall`` giving a (whitespace, text) pair per token, and the parser
 dispatches on the text; a position is worked out only for a ParseError.
 
 ``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
@@ -40,9 +44,10 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
-from .errors import WeiljetError, int_digit_limit
+from .errors import BudgetError, WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
 from .value import Value, setfield
 
@@ -72,54 +77,32 @@ class EvaluationError(WeiljetError):
 # -- AST ----------------------------------------------------------------------
 
 
-_CLOSE = object()  # what follows a node's closing parenthesis in a repr walk
-
-
 class Expr(Value):
-    """Base class for AST nodes. Comparing, hashing and printing walk the
-    tree over an explicit stack, so a tree of any height takes no recursion."""
+    """Base class for AST nodes. Every walk over a tree but evaluation goes
+    through ``walk``, over an explicit stack, so it takes no recursion at any
+    height. Nodes are immutable, so a copy of one is the node itself."""
 
     __slots__ = ()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            for x, y in zip(a._values, b._values):
-                if x is y:
-                    continue
-                if isinstance(x, Expr) and x.__class__ is y.__class__:
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        return walk(self) == walk(other)
 
     def __hash__(self):
-        # Every node's fields, depth first, each operand standing as None.
-        flat, todo = [], [self]
-        while todo:
-            for x in todo.pop()._values:
-                if isinstance(x, Expr):
-                    todo.append(x)
-                    x = None
-                flat.append(x)
-        return hash(tuple(flat))
+        return hash(tuple(walk(self)))
 
     def __repr__(self) -> str:
-        out, todo = [], [("", self)]  # (text to write, value to write after it)
-        while todo:
-            text, value = todo.pop()
-            out.append(text)
-            if isinstance(value, Expr):
-                out.append(f"{value.__class__.__qualname__}(")
-                todo.append((")", _CLOSE))
-                fields = zip(value.__match_args__, value._values)
-                todo.extend(reversed([(f"{', ' * (i > 0)}{name}=", x) for i, (name, x) in enumerate(fields)]))
-            elif value is not _CLOSE:
-                out.append(repr(value))
-        return "".join(out)
+        return fold(walk(self), _REPR)
+
+    def __reduce__(self):
+        return _unflatten, (walk(self),)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class Const(Expr):
@@ -200,24 +183,91 @@ class Compose(Expr):
         setfield(self, "_used", used)
 
 
+_BINARY_KINDS = {kind.tag: kind for kind in _Binary.__subclasses__()}
+
+
+# -- Traversal ----------------------------------------------------------------
+
+_OUTER, _BIND = "outer", "bind"  # a composition's markers in a substituting walk
+# Per kind, a node's item and its operands; a marker is its own item.
+_SPLIT = {
+    Const: lambda e: ((Const, 0, e.value), ()),
+    Var: lambda e: ((Var, 0, e.index), ()),
+    **dict.fromkeys(_BINARY_KINDS.values(), lambda e: ((e.__class__, 2), (e.left, e.right))),
+    Neg: lambda e: ((Neg, 1), (e.operand,)),
+    Pow: lambda e: ((Pow, 1, e.exponent), (e.base,)),
+    Compose: lambda e: ((Compose, 1 + len(e.substitutions)), (e.outer, *e.substitutions)),
+    tuple: lambda marker: (marker, ()),
+}
+
+
+def walk(e: Expr, substituting: bool = False) -> list:
+    """The flat form of ``e``: per node an item (kind, operand count, other
+    fields...), before its operands' items, the last operand's first.
+    Substituting, a Compose lists (_OUTER, 0), its outer expression, then
+    (_BIND, k, j1, ..., jk) and the k substitutions the outer uses."""
+    out, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        if substituting and node.__class__ is Compose:
+            used = sorted(node._used)
+            out.append((_OUTER, 0))
+            todo += [node.substitutions[j] for j in used] + [(_BIND, len(used), *used), node.outer]
+        else:
+            item, operands = _SPLIT[node.__class__](node)
+            out.append(item)
+            todo += operands
+    return out
+
+
+def fold(flat: list, visit: dict):
+    """Fold a flat form in reverse, so from the leaves up and left to right:
+    a node's result is ``visit[kind](*its operands' results, *its other
+    fields)``. Substituting, a composition's is its outer expression's, each
+    Var(j) in that standing for the result of substitutions[j]."""
+    done, scopes = [], []
+    for kind, count, *fields in reversed(flat):
+        operands = done[len(done) - count :]
+        del done[len(done) - count :]
+        if kind is _BIND:
+            scopes.append(dict(zip(fields, operands)))
+        elif kind is _OUTER:
+            scopes.pop()  # the outer's result is the composition's
+        elif kind is Var and scopes:
+            done.append(scopes[-1][fields[0]])
+        else:
+            done.append(visit[kind](*operands, *fields))
+    return done[0]
+
+
+def _unflatten(flat: list) -> Expr:
+    """The tree whose flat form is ``flat``."""
+    return fold(flat, _MAKE)
+
+
+def _repr(kind, *values) -> str:
+    # Value's repr, each operand's already written: no other field is a str.
+    texts = (f"{n}={v if type(v) is str else repr(v)}" for n, v in zip(kind.__match_args__, values))
+    return f"{kind.__qualname__}({', '.join(texts)})"
+
+
+_KINDS = (Const, Var, *_BINARY_KINDS.values(), Neg, Pow)
+_REPR = {
+    **{kind: partial(_repr, kind) for kind in _KINDS},
+    Compose: lambda outer, *subs: _repr(Compose, outer, f"({', '.join(subs)}{',' * (len(subs) == 1)})"),
+}
+_MAKE = {**{kind: kind for kind in _KINDS}, Compose: lambda outer, *subs: Compose(outer, subs)}
+
+
 def variables(e: Expr) -> frozenset[int]:
-    """Indices of the variables the expression actually depends on."""
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.index,))
-    if isinstance(e, _Binary):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Neg):
-        return variables(e.operand)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    if isinstance(e, Compose):
-        out: frozenset[int] = frozenset()
-        for j in e._used:
-            out |= variables(e.substitutions[j])
-        return out
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Indices of the variables the expression actually depends on: the
+    Vars outside every composition's outer expression."""
+    used, depth = set(), 0
+    for item in walk(e, True):
+        depth += (item[0] is _OUTER) - (item[0] is _BIND)
+        if not depth and item[0] is Var:
+            used.add(item[2])
+    return frozenset(used)
 
 
 def arity(e: Expr) -> int:
@@ -228,20 +278,19 @@ def arity(e: Expr) -> int:
 
 # -- Parser -------------------------------------------------------------------
 
-# How many parentheses and unary minus signs may be open at once. An open
-# parenthesis costs the parser four stack frames and a minus sign costs the
-# AST walks after it one, so the deepest input accepted needs about 800
-# frames, inside Python's default recursion limit of 1000; a deeper one is a
-# positioned ParseError.
+# How many parentheses and unary minus signs may be open at once. The parser
+# recurses four stack frames deep per open parenthesis, so the deepest input
+# accepted needs about 800 frames, inside Python's default recursion limit
+# of 1000; a deeper one is a positioned ParseError.
 MAX_NESTING = 200
 
 # How many levels deep the tree may be: each operator (binary, minus sign or
 # power) sits one level above its deepest operand, so a left-deep chain of n
-# operators counts n. The AST walks (``evaluate``, ``variables``,
-# ``pretty_print``, ``substitute``, ``expr_to_json``, ``oracle.to_poly``)
-# recurse once per level; the deepest needs about 12 frames more than the
-# height (Python 3.11), so this leaves about 190 of the default 1000 for the
-# caller's own. A deeper tree is a ParseError at its first operator past it.
+# operators counts n. This is the budget of ``_evaluate``, the one tree walk
+# that recurses, once per level: it needs about 8 frames more than the height
+# (Python 3.11), which leaves about 190 of the default 1000 for the caller's
+# own. Every other walk keeps an explicit stack and takes any height. A
+# deeper tree is a ParseError at its first operator past it.
 MAX_DEPTH = 800
 
 # One (whitespace, text) pair per token, listed by one findall. Its search
@@ -431,24 +480,18 @@ def parse(source: str) -> Expr:
 
 # -- Printing -----------------------------------------------------------------
 
+_PRINT = {
+    Const: lambda value: f"(-{-value})" if value < 0 else str(value),
+    Var: "x{}".format,
+    **{kind: f"({{}} {kind.symbol} {{}})".format for kind in _BINARY_KINDS.values()},
+    Neg: "(-{})".format,
+    Pow: "({} ^ {})".format,
+}
+
 
 def pretty_print(e: Expr) -> str:
     """Canonical fully-parenthesized text; inverse of parse on its image."""
-    if isinstance(e, Const):
-        if e.value < 0:
-            return f"(-{-e.value})"
-        return str(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, _Binary):
-        return f"({pretty_print(e.left)} {e.symbol} {pretty_print(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{pretty_print(e.operand)})"
-    if isinstance(e, Pow):
-        return f"({pretty_print(e.base)} ^ {e.exponent})"
-    if isinstance(e, Compose):
-        return pretty_print(substitute(e.outer, e.substitutions))
-    raise TypeError(f"not an Expr node: {e!r}")
+    return fold(walk(e, True), _PRINT)
 
 
 # -- Substitution -------------------------------------------------------------
@@ -459,24 +502,7 @@ def substitute(e: Expr, substitutions) -> Expr:
     subs = tuple(substitutions)
     if len(subs) < arity(e):
         raise ArityMismatchError(f"need {arity(e)} substitutions, got {len(subs)}")
-    return _substitute(e, subs)
-
-
-def _substitute(e: Expr, subs: tuple[Expr, ...]) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        return subs[e.index]
-    if isinstance(e, _Binary):
-        return type(e)(_substitute(e.left, subs), _substitute(e.right, subs))
-    if isinstance(e, Neg):
-        return Neg(_substitute(e.operand, subs))
-    if isinstance(e, Pow):
-        return Pow(_substitute(e.base, subs), e.exponent)
-    if isinstance(e, Compose):
-        inner = tuple(_substitute(s, subs) for s in e.substitutions)
-        return _substitute(e.outer, inner)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return fold(walk(e, True), {**_MAKE, Var: subs.__getitem__})
 
 
 # -- Evaluation ---------------------------------------------------------------
@@ -521,6 +547,8 @@ def _evaluate(e: Expr, args, lift, path):
             return e.op(left, right)
         try:
             return left / right if hasattr(right, "invert") else left * (1 / right)
+        except BudgetError:
+            raise
         except (ZeroDivisionError, WeiljetError):
             raise EvaluationError("division by a non-invertible value", path, e) from None
     if isinstance(e, Neg):
@@ -537,43 +565,35 @@ def _evaluate(e: Expr, args, lift, path):
 
 # -- JSON ---------------------------------------------------------------------
 
-_BINARY_KINDS = {kind.tag: kind for kind in _Binary.__subclasses__()}
+_JSON = {
+    Const: lambda value: {"op": "const", "num": str(value.numerator), "den": str(value.denominator)},
+    Var: lambda index: {"op": "var", "index": index},
+    **{kind: lambda left, right, tag=kind.tag: {"op": tag, "args": [left, right]} for kind in _BINARY_KINDS.values()},
+    Neg: lambda operand: {"op": "neg", "args": [operand]},
+    Pow: lambda base, exponent: {"op": "pow", "args": [base], "exponent": exponent},
+    Compose: lambda outer, *subs: {"op": "compose", "outer": outer, "subs": list(subs)},
+}
+_TAGS = {"const": Const, "var": Var, **_BINARY_KINDS, "neg": Neg, "pow": Pow, "compose": Compose}
 
 
 def expr_to_json(e: Expr) -> dict:
-    """Nested tagged objects, e.g. {"op": "add", "args": [...]}."""
-    if isinstance(e, Const):
-        return {"op": "const", "num": str(e.value.numerator), "den": str(e.value.denominator)}
-    if isinstance(e, Var):
-        return {"op": "var", "index": e.index}
-    if isinstance(e, _Binary):
-        return {"op": e.tag, "args": [expr_to_json(e.left), expr_to_json(e.right)]}
-    if isinstance(e, Neg):
-        return {"op": "neg", "args": [expr_to_json(e.operand)]}
-    if isinstance(e, Pow):
-        return {"op": "pow", "args": [expr_to_json(e.base)], "exponent": e.exponent}
-    if isinstance(e, Compose):
-        return {
-            "op": "compose",
-            "outer": expr_to_json(e.outer),
-            "subs": [expr_to_json(s) for s in e.substitutions],
-        }
-    raise TypeError(f"not an Expr node: {e!r}")
+    """Nested tagged objects, e.g. {"op": "add", "args": [...]}. The nesting
+    follows the tree, so ``json.dumps`` of a deep tree's object recurses
+    inside ``json`` and fails from about 500 levels (Python 3.11)."""
+    return fold(walk(e), _JSON)
 
 
 def expr_from_json(obj) -> Expr:
-    op = obj["op"]
-    if op == "const":
-        return Const(Fraction(int(obj["num"]), int(obj["den"])))
-    if op == "var":
-        return Var(int(obj["index"]))
-    if op in _BINARY_KINDS:
-        left, right = obj["args"]
-        return _BINARY_KINDS[op](expr_from_json(left), expr_from_json(right))
-    if op == "neg":
-        return Neg(expr_from_json(obj["args"][0]))
-    if op == "pow":
-        return Pow(expr_from_json(obj["args"][0]), int(obj["exponent"]))
-    if op == "compose":
-        return Compose(expr_from_json(obj["outer"]), tuple(expr_from_json(s) for s in obj["subs"]))
-    raise ValueError(f"unknown op tag {op!r}")
+    """The tree ``expr_to_json`` wrote as ``obj``, through its flat form."""
+    flat, todo = [], [obj]
+    while todo:
+        obj = todo.pop()
+        if obj["op"] not in _TAGS:
+            raise ValueError(f"unknown op tag {obj['op']!r}")
+        operands = [obj["outer"], *obj["subs"]] if obj["op"] == "compose" else obj.get("args", [])
+        fields = [int(obj[name]) for name in ("index", "exponent") if name in obj]
+        if obj["op"] == "const":
+            fields = [Fraction(int(obj["num"]), int(obj["den"]))]
+        flat.append((_TAGS[obj["op"]], len(operands), *fields))
+        todo += operands
+    return fold(flat, _MAKE)

@@ -19,12 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
-from operator import add
+from operator import add, mul, neg, sub
 
 from .errors import WeiljetError
 from .expression import (
     Add,
-    Compose,
     Const,
     Div,
     Expr,
@@ -35,7 +34,8 @@ from .expression import (
     Var,
     arity,
     evaluate,
-    substitute,
+    fold,
+    walk,
 )
 from .multiindex import MultiIndex, as_multiindex
 from .value import Value, setfield
@@ -122,41 +122,26 @@ def _poly(arity: int, terms: dict) -> SparsePoly:
     return SparsePoly(arity, {a: c for a, c in terms.items() if c})
 
 
+_RING = {Add: add, Sub: sub, Mul: mul, Neg: neg, Pow: pow}
+
+
 def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     """Expand a division-free expression into canonical sparse form."""
-    n = arity(e) if target_arity is None else max(target_arity, arity(e))
-    return _to_poly(e, n)
-
-
-@lru_cache(maxsize=1)
-def _expansion(e: Expr) -> SparsePoly:
-    """``e`` expanded in its own arity, for ``oracle_mixed`` only: the result
-    is shared between calls, so it must never reach a caller."""
-    return _to_poly(e, arity(e))
-
-
-def _to_poly(e: Expr, n: int) -> SparsePoly:
-    # Every Var reached has an index below n: n >= arity(e), and a Compose is
-    # substituted before it is expanded, leaving only the variables arity counts.
-    if isinstance(e, Const):
-        return _poly(n, {(0,) * n: e.value})
-    if isinstance(e, Var):
-        return _poly(n, {(0,) * e.index + (1,) + (0,) * (n - 1 - e.index): _ONE})
-    if isinstance(e, Add):
-        return _to_poly(e.left, n) + _to_poly(e.right, n)
-    if isinstance(e, Sub):
-        return _to_poly(e.left, n) - _to_poly(e.right, n)
-    if isinstance(e, Neg):
-        return -_to_poly(e.operand, n)
-    if isinstance(e, Mul):
-        return _to_poly(e.left, n) * _to_poly(e.right, n)
-    if isinstance(e, Pow):
-        return _to_poly(e.base, n) ** e.exponent
-    if isinstance(e, Compose):
-        return _to_poly(substitute(e.outer, e.substitutions), n)
-    if isinstance(e, Div):
+    flat = walk(e, True)
+    if any(item[0] is Div for item in flat):
         raise NotPolynomialError("expression contains division; no polynomial form")
-    raise TypeError(f"not an Expr node: {e!r}")
+    n = arity(e) if target_arity is None else max(target_arity, arity(e))
+    zero = (0,) * n  # every Var folded is one of e's, so its index is below n
+    return fold(flat, {
+        **_RING,
+        Const: lambda value: _poly(n, {zero: value}),
+        Var: lambda i: _poly(n, {zero[:i] + (1,) + zero[i + 1 :]: _ONE}),
+    })
+
+
+# ``e`` expanded in its own arity, for ``oracle_mixed`` only: the result is
+# shared between calls, so it must never reach a caller.
+_expansion = lru_cache(maxsize=1)(to_poly)
 
 
 def poly_partial(p: SparsePoly, i: int) -> SparsePoly:

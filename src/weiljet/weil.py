@@ -34,9 +34,9 @@ the constant term, L the nilpotency bound); a constant b only scales a.
 
 A shape is held to ``SLOT_BUDGET`` live monomials and its plan to
 ``PAIR_BUDGET`` pairs, each counted before anything is built; a dense view is
-held to ``SLOT_BUDGET`` slots, and a power squares no element whose numerators
-or denominator pass ``COEFF_BIT_BUDGET`` bits. Over a budget raises
-``CoefficientBudgetError``.
+held to ``SLOT_BUDGET`` slots, a power squares no element whose numerators
+or denominator pass ``COEFF_BIT_BUDGET`` bits, and a division scales no
+numerator past it. Over a budget raises ``CoefficientBudgetError``.
 
 Arithmetic between elements of different shapes is an error. Callers embed
 scalars explicitly via ``constant``; the only implicit coercion is scalar
@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from . import multiindex
-from .errors import WeiljetError
+from .errors import BudgetError, WeiljetError
 from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
 from .value import Value, setfield
 
@@ -78,9 +78,10 @@ class CoefficientIndexError(WeiljetError):
     """Coefficient requested at a multi-index outside the shape's monomials."""
 
 
-class CoefficientBudgetError(WeiljetError):
+class CoefficientBudgetError(BudgetError):
     """A shape over ``SLOT_BUDGET`` slots or ``PAIR_BUDGET`` plan pairs, or a
-    power whose next square is over ``COEFF_BIT_BUDGET`` bits."""
+    power whose next square, or a division whose scaled numerator, is over
+    ``COEFF_BIT_BUDGET`` bits."""
 
 
 # Live monomials per element (16 MiB of pointers), and the dense slots of a
@@ -91,7 +92,8 @@ SLOT_BUDGET = 2**21
 # degree 9 (4,686,825). A box plan of 7.6 M pairs took 3.2 s and 430 MB
 # (Python 3.11, 2 vCPUs).
 PAIR_BUDGET = 2**23
-# Bits of the numerators and denominator ``**`` may square. A 2^16-bit int
+# Bits of the numerators and denominator ``**`` may square, and that a
+# division's numerators may reach once scaled by |b0|^(L+1). A 2^16-bit int
 # squares in 1.6 ms and takes a gcd in 5 ms; at 2^18 bits 14 ms and 92 ms, at
 # 2^20 130 ms and 1.3 s (Python 3.11, 2 vCPUs). ``x0^100000000`` at 10/3 is
 # refused after 0.23 s here, 0.69 s at 2^18. The CLI prints no int over the
@@ -399,10 +401,14 @@ class WeilElement:
             exponent >>= 1
             if not exponent:
                 return one(self._shape) if out is None else out
-            bits = max(square._den.bit_length(), *map(int.bit_length, square._nums))
+            bits = square._bits()
             if bits > COEFF_BIT_BUDGET:
                 raise CoefficientBudgetError(f"a power would square {bits}-bit coefficients, over the budget of {COEFF_BIT_BUDGET} bits")
             square = square * square
+
+    def _bits(self) -> int:
+        """The largest bit length of a numerator or the denominator."""
+        return max(self._den.bit_length(), *map(int.bit_length, self._nums))
 
     def is_zero(self) -> bool:
         return not any(self._nums)
@@ -430,7 +436,9 @@ class WeilElement:
         denominator above b0^(L+1), L the nilpotency bound). In layout order
         each Z[q] is its accumulator over b0, exactly; Z[q] * B[p] then
         leaves the later slot of their product. y is Z * b.den over |b0|^(L+1) * a.den.
-        A constant b = b0 / b.den skips the solve: y is a * b.den / b0."""
+        A constant b = b0 / b.den skips the solve: y is a * b.den / b0. If
+        (L+1) * bits(b0) + bits(a), the most bits A * |b0|^(L+1) may take, is
+        over ``COEFF_BIT_BUDGET``, ``CoefficientBudgetError`` is raised first."""
         a = one(self._shape) if numerator is None else numerator
         a._require_same_shape(self)
         shape = a._shape
@@ -440,7 +448,11 @@ class WeilElement:
         if self._nums.count(0) == len(self._nums) - 1:
             factor = self._den if b0 > 0 else -self._den
             return _reduced(shape, tuple(map(factor.__mul__, a._nums)), a._den * abs(b0))
-        scale = abs(b0) ** (shape.nilpotency_bound() + 1)
+        power = shape.nilpotency_bound() + 1
+        bits = power * b0.bit_length() + a._bits()
+        if bits > COEFF_BIT_BUDGET:
+            raise CoefficientBudgetError(f"a division would scale to {bits}-bit coefficients, over the budget of {COEFF_BIT_BUDGET} bits")
+        scale = abs(b0) ** power
         acc = [n * scale for n in a._nums]
         off_diagonal = (0,) + self._nums[1:]
         if shape.degree is None:

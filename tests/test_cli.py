@@ -1,10 +1,12 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -472,6 +474,19 @@ def test_a_huge_power_fails_at_the_bit_budget(capsys):
     assert len(err.strip().splitlines()) == 1 and "bit coefficients, over the budget" in err
     code, out, err = run_cli(["derive", "--expr", "x0^100000000", "--at", "1", "--alpha", "1"], capsys)
     assert (code, out, err) == (0, "100000000\n", "")
+
+
+def test_a_long_digit_quotient_fails_at_the_bit_budget(capsys):
+    # At a 1,000-digit point to order 800 the solve scaled by |b0|^801, 2.7 M
+    # bits, and took 16 s and 288 MB before the output digit cap ended it; it
+    # now checks that size first. At 1 the same order still runs.
+    start = time.perf_counter()
+    code, out, err = run_cli(["derive", "--expr", "1/(1+x0)", "--at", "7" * 1000, "--alpha", "800"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "bit coefficients, over the budget of 65536 bits" in err
+    code, out, err = run_cli(["derive", "--expr", "1/(1+x0)", "--at", "1", "--alpha", "800"], capsys)
+    assert (code, out, err) == (0, f"{Fraction(math.factorial(800), 2**801)}\n", "")
 
 
 # One past the interpreter's int/str digit cap by 700: 5000 at the default cap.

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -168,6 +170,59 @@ def test_the_deepest_accepted_tree_passes_every_walk(source):
     assert to_poly(e).arity == arity(e)
 
 
+def _left_deep_sum(height):
+    # ((x0 + x0) + x0) ...: the tree, its printed text, its repr and its
+    # polynomial's terms.
+    e, text, rep = Var(0), "x0", "Var(index=0)"
+    for _ in range(height):
+        e, text, rep = Add(e, Var(0)), f"({text} + x0)", f"Add(left={rep}, right=Var(index=0))"
+    return e, text, rep, {(1, 0): height + 1}
+
+
+def _right_deep_product(height):
+    e, text, rep = Var(1), "x1", "Var(index=1)"
+    for _ in range(height):
+        e, text, rep = Mul(Var(1), e), f"(x1 * {text})", f"Mul(left=Var(index=1), right={rep})"
+    return e, text, rep, {(0, height + 1): 1}
+
+
+def _negated_power_chain(height):
+    # Neg, Pow(., 1) and Sub(., x1) in turn: s * x0 + c * x1 throughout.
+    e, text, rep, s, c = Var(0), "x0", "Var(index=0)", 1, 0
+    for level in range(height):
+        if level % 3 == 0:
+            e, text, rep, s, c = Neg(e), f"(-{text})", f"Neg(operand={rep})", -s, -c
+        elif level % 3 == 1:
+            e, text, rep = Pow(e, 1), f"({text} ^ 1)", f"Pow(base={rep}, exponent=1)"
+        else:
+            e, text, rep, c = Sub(e, Var(1)), f"({text} - x1)", f"Sub(left={rep}, right=Var(index=1))", c - 1
+    return e, text, rep, {k: v for k, v in {(1, 0): s, (0, 1): c}.items() if v}
+
+
+_SHAPES = {"left-deep-sum": _left_deep_sum, "right-deep-product": _right_deep_product, "neg-pow-sub": _negated_power_chain}
+
+
+@pytest.mark.parametrize("height", [MAX_DEPTH, 10 * MAX_DEPTH])
+@pytest.mark.parametrize("build", _SHAPES.values(), ids=_SHAPES)
+def test_every_walk_but_evaluation_takes_any_height(build, height):
+    e, text, rep, terms = build(height)
+    twin = build(height)[0]
+    assert _height(e) == height
+    assert e == twin and hash(e) == hash(twin) and e is not twin
+    assert e != build(height - 1)[0] and e != substitute(e, [Var(2), Var(3)])
+    assert repr(e) == rep
+    assert pretty_print(e) == text
+    used = variables(e)
+    assert used <= {0, 1} and arity(e) == max(used) + 1
+    swapped = substitute(e, [Var(1), Var(0)])
+    assert variables(swapped) == {1 - i for i in used}
+    assert substitute(swapped, [Var(1), Var(0)]) == e
+    assert expr_from_json(expr_to_json(e)) == e
+    assert to_poly(e, 2).terms == terms
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+
+
 @pytest.mark.parametrize("source, deeper", _DEEPEST.values(), ids=_DEEPEST)
 def test_one_level_more_is_a_parse_error(source, deeper):
     with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels deep"):
@@ -297,6 +352,12 @@ def test_substitute_examples():
 def test_substitute_needs_enough_substitutions():
     with pytest.raises(ArityMismatchError):
         substitute(parse("x0*x1"), [parse("x0")])
+
+
+def test_substitute_skips_the_substitutions_a_composition_does_not_use():
+    # As evaluation does: x5 sits in a substitution the outer x0 never reads,
+    # and substituting into it indexed past the one substitution given.
+    assert substitute(Compose(Var(0), (Var(0), Var(5))), [Var(1)]) == Var(1)
 
 
 def test_arity_and_variables():

@@ -707,3 +707,18 @@ def test_a_power_stops_before_squaring_past_the_bit_budget():
     with pytest.raises(CoefficientBudgetError):
         (constant(s, Fraction(1, 2)) + generator(s, 0)) ** (2 * COEFF_BIT_BUDGET)
     assert (one(s) + generator(s, 0)) ** 10**8 == one(s) + generator(s, 0) * 10**8
+
+
+@pytest.mark.parametrize("bits, ok", [(4095, True), (4096, False)])
+def test_a_division_checks_its_scaled_size_before_it_scales(bits, ok):
+    # Over order 15 the solve scales one by |b0|^16: 16 * 4095 + 1 bits fit
+    # the budget of 2^16, and 16 * 4096 + 1 do not.
+    shape = Shape((15,))
+    b = constant(shape, 2 ** (bits - 1)) + generator(shape, 0)
+    if ok:
+        assert b * b.invert() == one(shape)
+    else:
+        with pytest.raises(CoefficientBudgetError, match="scale to 65537-bit coefficients, over the budget of 65536"):
+            b.invert()
+        with pytest.raises(CoefficientBudgetError):
+            evaluate(parse(f"1/({2 ** (bits - 1)}+x0)"), [generator(shape, 0)], lift=lambda c: constant(shape, c))
