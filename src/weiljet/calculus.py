@@ -58,7 +58,6 @@ from .weil import (
     generator,
     rational_to_json,
     seeded,
-    zero,
 )
 
 _ZERO = Fraction(0)
@@ -293,16 +292,24 @@ def expand_sum_of_D(f: Expr, x, m: int):
     # f^(n)(x) for n <= m from one jet over d^(m+1) = 0; the check below
     # compares it with the m square-zero generators above.
     values = tuple(taylor_box(f, (x,), (m,)).entries.values())
-    rhs = zero(shape)
-    power = None
-    for n, value in enumerate(values):
-        power = constant(shape, _ONE) if n == 0 else power * delta
-        rhs = rhs + power * (value / math.factorial(n))
+    rhs = _taylor_series(values, delta)
     if lhs != rhs:
         raise IdentityViolationError(
             f"square-free expansion mismatch for f={f!r} at x={x}: {lhs} != {rhs}"
         )
     return values
+
+
+def _taylor_series(values, delta: WeilElement) -> WeilElement:
+    """sum_n values[n] * delta^n / n! in the algebra of delta: the Taylor sum
+    of one variable whose n-th derivative is values[n]."""
+    total = constant(delta.shape, values[0])
+    power = delta
+    for n, value in enumerate(values[1:], 1):
+        if n > 1:
+            power = power * delta
+        total = total + power * (value / math.factorial(n))
+    return total
 
 
 def taylor_sum(table: DerivTable, shape: Shape) -> WeilElement:

@@ -262,8 +262,13 @@ _MAKE = {**{kind: kind for kind in _KINDS}, Compose: lambda outer, *subs: Compos
 def variables(e: Expr) -> frozenset[int]:
     """Indices of the variables the expression actually depends on: the
     Vars outside every composition's outer expression."""
+    return _variables(walk(e, True))
+
+
+def _variables(flat: list) -> frozenset[int]:
+    # ``variables`` read off a substituting walk's flat form.
     used, depth = set(), 0
-    for item in walk(e, True):
+    for item in flat:
         depth += (item[0] is _OUTER) - (item[0] is _BIND)
         if not depth and item[0] is Var:
             used.add(item[2])
@@ -298,8 +303,7 @@ MAX_DEPTH = 800
 # of the source without its trailing whitespace, and only then is that
 # character located.
 _TOKEN_RE = re.compile(r"(\s*)(\d+\.\d+|\d+|x\d+|[-+*/^()])")
-_ADDITIVE = {"+": Add, "-": Sub}
-_MULTIPLICATIVE = {"*": Mul, "/": Div}
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})  # binary operators, loosest first
 _END = "end of input"
 
 
@@ -374,28 +378,17 @@ class _Parser:
             raise self.unexpected(("'+'", "'-'", "'*'", "'/'", _END))
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while (node := _ADDITIVE.get(self.tokens[self.pos][1])) is not None:
+    def expr(self, level: int = 0) -> Expr:
+        # The operands of one precedence level, terms at level 0 and factors
+        # at level 1, joined left to right by that level's operators.
+        operators = _LEVELS[level]
+        e = self.factor() if level else self.expr(1)
+        while (node := operators.get(self.tokens[self.pos][1])) is not None:
             # The new node sits one level above its deeper operand.
             pos = self.pos
             height = self.height
             self.pos = pos + 1
-            e = node(e, self.term())
-            if self.height > height:
-                height = self.height
-            if height >= MAX_DEPTH:
-                raise self.too_deep(pos)
-            self.height = height + 1
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while (node := _MULTIPLICATIVE.get(self.tokens[self.pos][1])) is not None:
-            pos = self.pos
-            height = self.height
-            self.pos = pos + 1
-            e = node(e, self.factor())
+            e = node(e, self.factor() if level else self.expr(1))
             if self.height > height:
                 height = self.height
             if height >= MAX_DEPTH:

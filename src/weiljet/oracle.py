@@ -17,7 +17,6 @@ disjoint is what makes agreement between them meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import perm
 from operator import add, mul, neg, sub
 
@@ -32,7 +31,7 @@ from .expression import (
     Pow,
     Sub,
     Var,
-    arity,
+    _variables,
     evaluate,
     fold,
     walk,
@@ -68,17 +67,6 @@ class SparsePoly(Value):
                     raise ValueError(f"exponent {alpha} has wrong length for arity {arity}")
                 clean[alpha] = c
         return SparsePoly(arity, clean)
-
-    @staticmethod
-    def const(arity: int, c) -> "SparsePoly":
-        return SparsePoly.make(arity, {(0,) * arity: Fraction(c)})
-
-    @staticmethod
-    def variable(arity: int, i: int) -> "SparsePoly":
-        if not 0 <= i < arity:
-            raise ValueError(f"variable index {i} out of range for arity {arity}")
-        unit = tuple(1 if j == i else 0 for j in range(arity))
-        return SparsePoly.make(arity, {unit: Fraction(1)})
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         terms = dict(self.terms)
@@ -130,7 +118,7 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     flat = walk(e, True)
     if any(item[0] is Div for item in flat):
         raise NotPolynomialError("expression contains division; no polynomial form")
-    n = arity(e) if target_arity is None else max(target_arity, arity(e))
+    n = max([target_arity or 0] + [j + 1 for j in _variables(flat)])
     zero = (0,) * n  # every Var folded is one of e's, so its index is below n
     return fold(flat, {
         **_RING,
@@ -139,9 +127,18 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     })
 
 
-# ``e`` expanded in its own arity, for ``oracle_mixed`` only: the result is
-# shared between calls, so it must never reach a caller.
-_expansion = lru_cache(maxsize=1)(to_poly)
+_last: list = [None, None]  # the expression _expansion expanded last, and its expansion
+
+
+def _expansion(e: Expr, expand=to_poly) -> SparsePoly:
+    """``e`` expanded in its own arity, for ``oracle_mixed`` only: the result is
+    shared between calls, so it must never reach a caller. The last expression
+    object is kept and matched by identity, so a repeated call neither walks
+    nor hashes the tree; ``expand`` is bound here, so these expansions do not
+    count as calls of ``to_poly``."""
+    if _last[0] is not e:
+        _last[:] = e, expand(e)
+    return _last[1]
 
 
 def poly_partial(p: SparsePoly, i: int) -> SparsePoly:

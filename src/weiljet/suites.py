@@ -5,6 +5,15 @@ Suite names double as CLI tokens (``check --suite <name>``). Instance
 generation is deterministic: instance i of a suite under seed s draws from
 ``random.Random(f"{s}:{name}:{i}")``, so reports are reproducible byte for
 byte and instances are independent of execution order.
+
+A check states each comparison as ``_same(lhs, rhs, describe)``. The first
+one that fails ends the instance, and its counterexample is ``describe()``
+followed by ``: lhs=<lhs>, rhs=<rhs>``; a failed rule check
+(``calculus.check_rule``, passed to ``_rules``) gives its verdict's
+``describe()`` instead. A ``WeiljetError`` raised inside a check, an internal
+fault such as ``IdentityViolationError``, ends the instance the same way,
+with its message as the counterexample, so the suite fails and the other
+suites still run.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ import random
 from fractions import Fraction
 
 from .calculus import (
+    IdentityViolationError,
+    _taylor_series,
     check_rule,
     derivative,
     evaluate_perturbed,
@@ -30,7 +41,7 @@ from .expression import Add, Const, Expr, Mul, Neg, Pow, Sub, Var, evaluate, pre
 from .multiindex import factorial, leq
 from .oracle import oracle_mixed
 from .value import Value, setfields
-from .weil import Shape, WeilElement, constant, from_coefficients, generator, one, zero
+from .weil import Shape, WeilElement, from_coefficients, generator, one, zero
 
 _ONE = Fraction(1)
 _MAX_ARITY = 3
@@ -134,14 +145,33 @@ def random_square_zero(rng: random.Random, shape: Shape) -> WeilElement:
     return from_coefficients(shape, {k: random_rational(rng)})
 
 
-def _failure(description: str, lhs, rhs) -> str:
-    return f"{description}: lhs={lhs}, rhs={rhs}"
+class _Counterexample(WeiljetError):
+    """The first comparison of an instance that failed; its text is the counterexample."""
+
+
+def _same(lhs, rhs, describe) -> None:
+    """The one comparison of the suites: unless lhs == rhs, stop the instance
+    with the counterexample ``describe(): lhs=<lhs>, rhs=<rhs>``. Only then is
+    ``describe`` called, so a passing instance formats no text."""
+    if lhs != rhs:
+        raise _Counterexample(f"{describe()}: lhs={lhs}, rhs={rhs}")
+
+
+def _rules(*verdicts) -> None:
+    """Stop the instance at the first failed rule check, whose verdict
+    already compared its two sides; its ``describe()`` is the counterexample."""
+    for verdict in verdicts:
+        if not verdict.passed:
+            raise _Counterexample(verdict.describe())
 
 
 # -- Suite registry ---------------------------------------------------------------
 
 # Suite name -> its check, which draws one instance from the random.Random
-# it is given and returns None if the instance passes, else a counterexample.
+# it is given, states each comparison through ``_same`` or ``_rules`` and
+# returns nothing. ``run_suite`` turns the first failed comparison (its
+# description and both sides, or a verdict's text) or any WeiljetError a
+# fault raised inside the check into the instance's counterexample.
 _SUITE_CHECKS: dict = {}
 
 
@@ -167,12 +197,12 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> SuiteResult:
     passes = 0
     first = None
     for idx in range(config.instances):
-        rng = random.Random(f"{config.seed}:{name}:{idx}")
-        detail = check(rng)
-        if detail is None:
+        try:
+            check(random.Random(f"{config.seed}:{name}:{idx}"))
+        except WeiljetError as exc:
+            first = first or f"instance {idx}: {exc}"
+        else:
             passes += 1
-        elif first is None:
-            first = f"instance {idx}: {detail}"
     return SuiteResult(name, config.instances, passes, first)
 
 
@@ -184,58 +214,48 @@ def run_suites(names, config: SuiteConfig = SuiteConfig()) -> list[SuiteResult]:
 
 
 @_suite("lemma-3.1.2")
-def _zero_is_nilpotent(rng: random.Random) -> str | None:
+def _zero_is_nilpotent(rng: random.Random) -> None:
     shape = random_shape(rng)
     z = zero(shape)
     for m in range(6):
-        if not z.is_in_Dm(m):
-            return _failure(f"zero not {m}-nilpotent in shape {shape}", False, True)
-    return None
+        _same(z.is_in_Dm(m), True, lambda: f"zero not {m}-nilpotent in shape {shape}")
 
 
 def _minimal_nilpotency(a: WeilElement) -> int:
     for m in range(a.shape.nilpotency_bound() + 1):
         if a.is_in_Dm(m):
             return m
-    raise AssertionError(f"element with zero constant term not nilpotent: {a}")
+    raise IdentityViolationError(f"element with zero constant term not nilpotent: {a}")
 
 
 @_suite("lemma-3.1.3")
-def _nilpotents_absorb_products(rng: random.Random) -> str | None:
+def _nilpotents_absorb_products(rng: random.Random) -> None:
     shape = random_shape(rng)
     a = random_element(rng, shape, zero_constant=True)
     b = random_element(rng, shape)
     m = _minimal_nilpotency(a)
-    if not (a * b).is_in_Dm(m):
-        return _failure(f"product left {m}-nilpotents: a={a}, b={b}", False, True)
-    return None
+    _same((a * b).is_in_Dm(m), True, lambda: f"product left {m}-nilpotents: a={a}, b={b}")
 
 
 @_suite("lemma-3.1.4")
-def _nilpotency_is_monotone(rng: random.Random) -> str | None:
+def _nilpotency_is_monotone(rng: random.Random) -> None:
     shape = random_shape(rng)
     a = random_element(rng, shape, zero_constant=True)
     m = _minimal_nilpotency(a)
     for later in range(m, max(m, 5) + 1):
-        if not a.is_in_Dm(later):
-            return _failure(f"a={a} is {m}-nilpotent but not {later}-nilpotent", False, True)
-    return None
+        _same(a.is_in_Dm(later), True, lambda: f"a={a} is {m}-nilpotent but not {later}-nilpotent")
 
 
 @_suite("lemma-3.1.5")
-def _square_of_sum(rng: random.Random) -> str | None:
+def _square_of_sum(rng: random.Random) -> None:
     shape = random_shape(rng)
     x = random_square_zero(rng, shape)
     y = random_square_zero(rng, shape)
-    lhs = (x + y) ** 2
-    rhs = (x * y) * 2
-    if lhs != rhs:
-        return _failure(f"(x+y)^2 != 2xy for x={x}, y={y} in {shape}", lhs, rhs)
-    return None
+    _same((x + y) ** 2, (x * y) * 2, lambda: f"(x+y)^2 != 2xy for x={x}, y={y} in {shape}")
 
 
 @_suite("lemma-3.1.6")
-def _binomial_collapse(rng: random.Random) -> str | None:
+def _binomial_collapse(rng: random.Random) -> None:
     orders = (1,) + tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 2)))
     shape = Shape(orders)
     x = generator(shape, 0)
@@ -243,26 +263,21 @@ def _binomial_collapse(rng: random.Random) -> str | None:
     m = rng.randint(0, 5)
     lhs = (x + y) ** (m + 1)
     rhs = x * (y**m) * (m + 1) + y ** (m + 1)
-    if lhs != rhs:
-        return _failure(f"binomial collapse failed for y={y}, m={m} in {shape}", lhs, rhs)
-    return None
+    _same(lhs, rhs, lambda: f"binomial collapse failed for y={y}, m={m} in {shape}")
 
 
 @_suite("lemma-3.1.7")
-def _sum_power_vanishes(rng: random.Random) -> str | None:
+def _sum_power_vanishes(rng: random.Random) -> None:
     k = rng.randint(0, 6)
     shape = Shape((1,) * k)
     total = zero(shape)
     for i in range(k):
         total = total + generator(shape, i)
-    power = total ** (k + 1)
-    if not power.is_zero():
-        return _failure(f"(sum of {k} square-zero generators)^{k + 1} != 0", power, 0)
-    return None
+    _same(total ** (k + 1), zero(shape), lambda: f"(sum of {k} square-zero generators)^{k + 1} != 0")
 
 
 @_suite("lemma-3.1.8")
-def _sum_power_factorial(rng: random.Random) -> str | None:
+def _sum_power_factorial(rng: random.Random) -> None:
     k = rng.randint(0, 6)
     shape = Shape((1,) * k)
     total = zero(shape)
@@ -272,204 +287,140 @@ def _sum_power_factorial(rng: random.Random) -> str | None:
         total = total + generator(shape, i)
         product = product * generator(shape, i)
         fact *= i + 1
-    lhs = total**k
-    rhs = product * fact
-    if lhs != rhs:
-        return _failure(f"(sum of {k} generators)^{k} != {k}! * product", lhs, rhs)
-    return None
+    _same(total**k, product * fact, lambda: f"(sum of {k} generators)^{k} != {k}! * product")
 
 
 # -- One-variable calculus ---------------------------------------------------------
 
 
 @_suite("thm-4.1.4")
-def _first_order_expansion(rng: random.Random) -> str | None:
+def _first_order_expansion(rng: random.Random) -> None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((1,))
     jet = jet_evaluate(f, (x,), shape)
     fx = evaluate(f, [x])
     slope = derivative(f, x)
-    expected = constant(shape, fx) + generator(shape, 0) * slope
-    if jet != expected:
-        return _failure(f"f={pretty_print(f)} at x={x}", jet, expected)
-    if slope != oracle_mixed(f, (1,), (x,)):
-        return _failure(
-            f"slope of f={pretty_print(f)} at x={x} disagrees with termwise oracle",
-            slope,
-            oracle_mixed(f, (1,), (x,)),
-        )
+    _same(jet, _taylor_series((fx, slope), generator(shape, 0)), lambda: f"f={pretty_print(f)} at x={x}")
+    _same(
+        slope,
+        oracle_mixed(f, (1,), (x,)),
+        lambda: f"slope of f={pretty_print(f)} at x={x} disagrees with termwise oracle",
+    )
     # Immediate corollaries of the degree-1 expansion: the derivative is
     # linear and satisfies the product rule.
     g = random_expr(rng, 1, 4)
-    for verdict in (
-        check_rule(
-            "linearity", f=f, g=g, x=x, a=random_rational(rng), b=random_rational(rng)
-        ),
+    _rules(
+        check_rule("linearity", f=f, g=g, x=x, a=random_rational(rng), b=random_rational(rng)),
         check_rule("leibniz", f=f, g=g, x=x),
-    ):
-        if not verdict.passed:
-            return verdict.describe()
-    return None
+    )
 
 
 @_suite("lemma-4.1.5")
-def _differentiation_formulas(rng: random.Random) -> str | None:
+def _differentiation_formulas(rng: random.Random) -> None:
     x = random_rational(rng)
     c = random_rational(rng)
-    if derivative(Const(c), x) != 0:
-        return _failure(f"constant {c} has nonzero slope at {x}", derivative(Const(c), x), 0)
-    if derivative(Var(0), x) != 1:
-        return _failure(f"identity has slope != 1 at {x}", derivative(Var(0), x), 1)
+    _same(derivative(Const(c), x), 0, lambda: f"constant {c} has nonzero slope at {x}")
+    _same(derivative(Var(0), x), 1, lambda: f"identity has slope != 1 at {x}")
     f = random_expr(rng, 1, 4)
     g = random_expr(rng, 1, 4)
-    for verdict in (
-        check_rule("chain", f=f, g=g, x=x),
-        check_rule("power", n=rng.randint(0, 6), x=x),
-    ):
-        if not verdict.passed:
-            return verdict.describe()
+    _rules(check_rule("chain", f=f, g=g, x=x), check_rule("power", n=rng.randint(0, 6), x=x))
     for _ in range(100):
         h = random_expr(rng, 1, 4)
         if evaluate(h, [x]) != 0:
             break
     else:
         h = Add(Var(0), Const(1 - x))
-    verdict = check_rule("reciprocal", f=h, x=x)
-    if not verdict.passed:
-        return verdict.describe()
+    _rules(check_rule("reciprocal", f=h, x=x))
     slope = random_rational(rng)
     if slope == 0:
         slope = _ONE
-    verdict = check_rule("inverse_affine", a=slope, b=random_rational(rng), x=x)
-    if not verdict.passed:
-        return verdict.describe()
-    return None
+    _rules(check_rule("inverse_affine", a=slope, b=random_rational(rng), x=x))
+
+
+def _second_order(f: Expr, x: Fraction, delta: WeilElement) -> WeilElement:
+    # f(x) + delta f'(x) + delta^2 f''(x) / 2, the derivatives taken from jets.
+    return _taylor_series((evaluate(f, [x]), derivative(f, x), nth_derivative(f, 2, x)), delta)
 
 
 @_suite("lemma-4.1.6")
-def _two_generator_expansion(rng: random.Random) -> str | None:
+def _two_generator_expansion(rng: random.Random) -> None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((1, 1))
     delta = generator(shape, 0) + generator(shape, 1)
     lhs = evaluate_perturbed(f, (x,), shape, ((0, 1),))
-    rhs = (
-        constant(shape, evaluate(f, [x]))
-        + delta * derivative(f, x)
-        + delta * delta * (nth_derivative(f, 2, x) / 2)
-    )
-    if lhs != rhs:
-        return _failure(f"f={pretty_print(f)} at x={x} over {shape}", lhs, rhs)
-    return None
+    _same(lhs, _second_order(f, x, delta), lambda: f"f={pretty_print(f)} at x={x} over {shape}")
 
 
 @_suite("prop-4.2.1")
-def _second_order_expansion(rng: random.Random) -> str | None:
+def _second_order_expansion(rng: random.Random) -> None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     shape = Shape((2,))
-    delta = generator(shape, 0)
     lhs = jet_evaluate(f, (x,), shape)
-    rhs = (
-        constant(shape, evaluate(f, [x]))
-        + delta * derivative(f, x)
-        + delta * delta * (nth_derivative(f, 2, x) / 2)
-    )
-    if lhs != rhs:
-        return _failure(f"f={pretty_print(f)} at x={x} over {shape}", lhs, rhs)
-    return None
+    _same(lhs, _second_order(f, x, generator(shape, 0)), lambda: f"f={pretty_print(f)} at x={x} over {shape}")
 
 
 @_suite("prop-4.2.2")
-def _sum_of_generators_expansion(rng: random.Random) -> str | None:
+def _sum_of_generators_expansion(rng: random.Random) -> None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     m = rng.randint(0, 4)
-    values = expand_sum_of_D(f, x, m)
-    for n, value in enumerate(values):
-        expected = oracle_mixed(f, (n,), (x,))
-        if value != expected:
-            return _failure(
-                f"order-{n} value of f={pretty_print(f)} at x={x}", value, expected
-            )
-    return None
+    for n, value in enumerate(expand_sum_of_D(f, x, m)):
+        _same(value, oracle_mixed(f, (n,), (x,)), lambda: f"order-{n} value of f={pretty_print(f)} at x={x}")
 
 
 @_suite("thm-4.2.3")
-def _truncated_taylor_one_variable(rng: random.Random) -> str | None:
+def _truncated_taylor_one_variable(rng: random.Random) -> None:
     f = random_expr(rng, 1, 5)
     x = random_rational(rng)
     m = rng.randint(0, 4)
     shape = Shape((m,))
     lhs = jet_evaluate(f, (x,), shape)
     delta = generator(shape, 0) if m >= 1 else zero(shape)
-    rhs = zero(shape)
-    power = one(shape)
-    fact = 1
-    for n in range(m + 1):
-        if n:
-            power = power * delta
-            fact *= n
-        rhs = rhs + power * (oracle_mixed(f, (n,), (x,)) / fact)
-    if lhs != rhs:
-        return _failure(f"f={pretty_print(f)} at x={x}, order {m}", lhs, rhs)
-    return None
+    rhs = _taylor_series([oracle_mixed(f, (n,), (x,)) for n in range(m + 1)], delta)
+    _same(lhs, rhs, lambda: f"f={pretty_print(f)} at x={x}, order {m}")
 
 
 # -- Several variables ---------------------------------------------------------------
 
 
 @_suite("thm-5.1.3")
-def _partial_expansion(rng: random.Random) -> str | None:
+def _partial_expansion(rng: random.Random) -> None:
     n = rng.randint(1, 3)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
     i = rng.randrange(n)
     shape = Shape(tuple(1 if j == i else 0 for j in range(n)))
     jet = jet_evaluate(f, x, shape)
-    fx = evaluate(f, x)
-    if jet.coefficient((0,) * n) != fx:
-        return _failure(
-            f"value mismatch for f={pretty_print(f)} at x={x}",
-            jet.coefficient((0,) * n),
-            fx,
-        )
-    slope = jet.coefficient(shape.orders)
+    _same(jet.coefficient((0,) * n), evaluate(f, x), lambda: f"value mismatch for f={pretty_print(f)} at x={x}")
     alpha = tuple(1 if j == i else 0 for j in range(n))
     expected = oracle_mixed(f, alpha, x)
-    if slope != expected:
-        return _failure(
-            f"partial {i} of f={pretty_print(f)} at x={x}", slope, expected
-        )
-    return None
+    _same(jet.coefficient(shape.orders), expected, lambda: f"partial {i} of f={pretty_print(f)} at x={x}")
 
 
 @_suite("prop-5.1.4")
-def _mixed_partials_commute(rng: random.Random) -> str | None:
+def _mixed_partials_commute(rng: random.Random) -> None:
     n = rng.randint(2, 3)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
     i = rng.randrange(n)
     j = rng.randrange(n)
     verdict = check_rule("mixed_symmetry", f=f, i=i, j=j, x=x)
-    if not verdict.passed:
-        return verdict.describe()
+    _rules(verdict)
     alpha = [0] * n
     alpha[i] += 1
     alpha[j] += 1
-    expected = oracle_mixed(f, tuple(alpha), x)
-    if verdict.lhs != expected:
-        return _failure(
-            f"iterated partials ({i},{j}) of f={pretty_print(f)} at x={x} vs oracle",
-            verdict.lhs,
-            expected,
-        )
-    return None
+    _same(
+        verdict.lhs,
+        oracle_mixed(f, tuple(alpha), x),
+        lambda: f"iterated partials ({i},{j}) of f={pretty_print(f)} at x={x} vs oracle",
+    )
 
 
 @_suite("thm-5.2.1")
-def _squarefree_expansion(rng: random.Random) -> str | None:
+def _squarefree_expansion(rng: random.Random) -> None:
     n = rng.randint(0, 4)
     f = random_expr(rng, n, 4)
     x = random_point(rng, n)
@@ -478,22 +429,13 @@ def _squarefree_expansion(rng: random.Random) -> str | None:
     expected_entries = {}
     for subset, value in table.items():
         alpha = tuple(1 if idx in subset else 0 for idx in range(n))
-        expected = oracle_mixed(f, alpha, x)
-        if value != expected:
-            return _failure(
-                f"subset {sorted(subset)} entry for f={pretty_print(f)} at x={x}",
-                value,
-                expected,
-            )
-        expected_entries[alpha] = expected
-    jet = jet_evaluate(f, x, shape)
-    if jet != from_coefficients(shape, expected_entries):
-        return _failure(
-            f"square-free reconstruction for f={pretty_print(f)} at x={x}",
-            jet,
-            from_coefficients(shape, expected_entries),
-        )
-    return None
+        expected = expected_entries[alpha] = oracle_mixed(f, alpha, x)
+        _same(value, expected, lambda: f"subset {sorted(subset)} entry for f={pretty_print(f)} at x={x}")
+    _same(
+        jet_evaluate(f, x, shape),
+        from_coefficients(shape, expected_entries),
+        lambda: f"square-free reconstruction for f={pretty_print(f)} at x={x}",
+    )
 
 
 def _box_instance(rng: random.Random):
@@ -505,27 +447,24 @@ def _box_instance(rng: random.Random):
 
 
 @_suite("prop-5.2.3")
-def _box_expansion(rng: random.Random) -> str | None:
+def _box_expansion(rng: random.Random) -> None:
     f, x, k = _box_instance(rng)
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)
     table = taylor_box(f, x, k)
     values = {alpha: mixed_derivative(f, alpha, x) for alpha in shape.box()}
     for alpha, value in values.items():
-        if value != table.entries[alpha]:
-            return _failure(
-                f"independent extraction at {alpha} for f={pretty_print(f)}, x={x}, k={k}",
-                value,
-                table.entries[alpha],
-            )
+        _same(
+            value,
+            table.entries[alpha],
+            lambda: f"independent extraction at {alpha} for f={pretty_print(f)}, x={x}, k={k}",
+        )
     recon = from_coefficients(shape, {alpha: value / factorial(alpha) for alpha, value in values.items()})
-    if jet != recon:
-        return _failure(f"box expansion for f={pretty_print(f)}, x={x}, k={k}", jet, recon)
-    return None
+    _same(jet, recon, lambda: f"box expansion for f={pretty_print(f)}, x={x}, k={k}")
 
 
 @_suite("thm-5.2.4")
-def _simplex_expansion(rng: random.Random) -> str | None:
+def _simplex_expansion(rng: random.Random) -> None:
     f, x, k = _box_instance(rng)
     shape = Shape(k)
     jet = jet_evaluate(f, x, shape)
@@ -533,18 +472,12 @@ def _simplex_expansion(rng: random.Random) -> str | None:
     table = taylor_simplex(f, x, k)
     box_table = taylor_box(f, x, k)
     for alpha in box_table.entries:
-        if table.entries[alpha] != box_table.entries[alpha]:
-            return _failure(
-                f"simplex/box disagree at {alpha} for f={pretty_print(f)}, x={x}, k={k}",
-                table.entries[alpha],
-                box_table.entries[alpha],
-            )
-    recon = taylor_sum(table, shape)
-    if jet != recon:
-        return _failure(
-            f"simplex expansion for f={pretty_print(f)}, x={x}, k={k}", jet, recon
+        _same(
+            table.entries[alpha],
+            box_table.entries[alpha],
+            lambda: f"simplex/box disagree at {alpha} for f={pretty_print(f)}, x={x}, k={k}",
         )
-    return None
+    _same(jet, taylor_sum(table, shape), lambda: f"simplex expansion for f={pretty_print(f)}, x={x}, k={k}")
 
 
 # -- Float-safe corpus for finite-difference validation ------------------------------

@@ -126,6 +126,30 @@ def test_mutating_a_to_poly_result_leaves_the_oracle_unchanged():
     assert oracle_mixed(f, (0, 0), (1, 2)) == 5
 
 
+def test_to_poly_walks_once_and_a_repeated_oracle_call_not_at_all(monkeypatch):
+    import weiljet.expression as expression
+    import weiljet.oracle as oracle
+
+    walks, walk = [], expression.walk
+
+    def counted(e, substituting=False):
+        walks.append(e)
+        return walk(e, substituting)
+
+    for module in (expression, oracle):
+        monkeypatch.setattr(module, "walk", counted)
+    f = parse("(x0 + x2)^3 * x1 - 2")
+    assert to_poly(f, 4).arity == 4
+    assert len(walks) == 1
+    assert oracle_mixed(f, (1, 1, 1), (1, 2, 3)) == 24  # 6 * (x0 + x2)
+    assert len(walks) == 2
+    for alpha in ((0, 0, 0), (2, 0, 1), (0, 1)):
+        oracle_mixed(f, alpha, (1, 2, 3))
+    assert len(walks) == 2
+    oracle_mixed(parse("(x0 + x2)^3 * x1 - 2"), (1, 1, 1), (1, 2, 3))  # an equal tree, another object
+    assert len(walks) == 3
+
+
 @given(division_free_exprs, division_free_exprs)
 def test_to_poly_is_a_ring_homomorphism(a, b):
     pa = to_poly(a, 3)
