@@ -8,11 +8,12 @@ Subcommands::
     fd-check  cross-validate one derivative against central finite differences
 
 Exit codes: 0 on success, 2 on parse/evaluation/numeric failure (including a
-failing suite or tolerance), 64 on usage errors. ``--format json`` output is
-deterministic given (command, inputs, seed); the seed defaults to the
-WEILJET_SEED environment variable, then 0. Rationals print as ``p/q`` (bare
-``p`` for integers) in tables and as decimal-string numerator/denominator
-pairs in JSON. ``check`` imports the suites (and with them the oracle) and
+failing suite or tolerance, and standard output closed before all of it was
+written), 64 on usage errors (including ``check --instances`` over
+``MAX_INSTANCES``). ``--format json`` output is deterministic given
+(command, inputs, seed); the seed defaults to the WEILJET_SEED environment
+variable, then 0. Rationals print as ``p/q`` (bare ``p`` for integers) in
+tables and as decimal-string numerator/denominator pairs in JSON. ``check`` imports the suites (and with them the oracle) and
 ``fd-check`` the oracle when they run, so ``taylor`` and ``derive`` start
 without either.
 """
@@ -35,6 +36,10 @@ from .weil import rational_to_json
 EXIT_OK = 0
 EXIT_FAILURE = 2
 EXIT_USAGE = 64
+
+# The most instances ``check`` runs per suite: an instance of all 18 suites
+# takes about 4 ms, so the largest request ends in under a minute, not hours.
+MAX_INSTANCES = 10_000
 
 
 class UsageError(WeiljetError):
@@ -176,6 +181,8 @@ def _cmd_check(args) -> RunReport:
         )
     if args.instances < 0:
         raise UsageError(f"--instances must be a natural number, got {args.instances}")
+    if args.instances > MAX_INSTANCES:
+        raise UsageError(f"--instances must be at most {MAX_INSTANCES}, got {args.instances}")
     config = SuiteConfig(instances=args.instances, seed=seed)
     results = run_suites(names, config)
     all_passed = all(r.passed for r in results)
@@ -308,11 +315,19 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_FAILURE
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, allow_nan=False))
-    else:
-        for line in report.table_lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(json.dumps(report.to_json(), indent=2, allow_nan=False))
+        else:
+            for line in report.table_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As in Python's "Note on SIGPIPE": stdout now goes to devnull, so the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("weiljet: error: standard output was closed before all output was written", file=sys.stderr)
+        return EXIT_FAILURE
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 

@@ -20,18 +20,18 @@ integer literals, with no whitespace on either side, is part of a rational
 literal ("1/2" is the constant one half); any other slash is division
 ("1 / 2" and "1/(2)" are quotients). Decimal literals convert exactly to
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
-exponent must be a bare natural literal. At most ``MAX_NESTING``
-parentheses and unary minus signs may be open at once, since the parser
-recurses per parenthesis, and the tree may be at most ``MAX_DEPTH``
-operators deep, since evaluation (``_evaluate``) is the one tree walk that
-recurses per level. Every other walk (comparing, hashing, printing,
-pickling, ``variables``, ``substitute``, JSON and ``oracle.to_poly``) goes
-through ``walk`` and ``fold``, which keep an explicit stack. The tokenizer
-is one ``findall`` giving a (whitespace, text) pair per token, and the parser
-dispatches on the text; a position is worked out only for a ParseError.
+exponent must be a bare natural literal. A source may hold ``MAX_SOURCE``
+characters and open ``MAX_NESTING`` parentheses and unary minus signs at
+once, since the parser recurses per parenthesis. Trees of any height
+evaluate, since ``_evaluate`` walks left operands in a loop; every other
+walk (comparing, hashing, printing, pickling, ``variables``, ``substitute``,
+JSON and ``oracle.to_poly``) goes through ``walk`` and ``fold``, which keep
+an explicit stack. The tokenizer is one ``findall`` giving a (whitespace,
+text) pair per token, and the parser dispatches on the text; a position is
+worked out only for a ParseError.
 
 ``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
-whose printed form stays within that nesting limit: the printer brackets
+whose printed form stays within those two limits: the printer brackets
 every operator node, and a negation opens a minus sign besides.
 Two kinds of nodes fall outside that fragment and print as their closest
 grammar form: constants with negative values print parenthesized with a
@@ -44,7 +44,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from .errors import BudgetError, WeiljetError, int_digit_limit
@@ -79,8 +78,8 @@ class EvaluationError(WeiljetError):
 
 class Expr(Value):
     """Base class for AST nodes. Every walk over a tree but evaluation goes
-    through ``walk``, over an explicit stack, so it takes no recursion at any
-    height. Nodes are immutable, so a copy of one is the node itself."""
+    through ``walk``, over an explicit stack, so it takes any height. Nodes
+    are immutable, so a copy of one is the node itself."""
 
     __slots__ = ()
 
@@ -93,7 +92,7 @@ class Expr(Value):
         return hash(tuple(walk(self)))
 
     def __repr__(self) -> str:
-        return fold(walk(self), _REPR)
+        return _text(fold(walk(self), _REPR))
 
     def __reduce__(self):
         return _unflatten, (walk(self),)
@@ -245,16 +244,34 @@ def _unflatten(flat: list) -> Expr:
     return fold(flat, _MAKE)
 
 
-def _repr(kind, *values) -> str:
-    # Value's repr, each operand's already written: no other field is a str.
-    texts = (f"{n}={v if type(v) is str else repr(v)}" for n, v in zip(kind.__match_args__, values))
-    return f"{kind.__qualname__}({', '.join(texts)})"
+def _text(pieces) -> str:
+    """The text of nested tuples of strings, joined once: a fold that joined
+    text at every node would copy each node's once per level above it."""
+    out, todo = [], [pieces]
+    while todo:
+        piece = todo.pop()
+        if piece.__class__ is str:
+            out.append(piece)
+        else:
+            todo += reversed(piece)
+    return "".join(out)
 
 
 _KINDS = (Const, Var, *_BINARY_KINDS.values(), Neg, Pow)
+# Value's repr of each kind, in pieces joined once by ``_text``.
 _REPR = {
-    **{kind: partial(_repr, kind) for kind in _KINDS},
-    Compose: lambda outer, *subs: _repr(Compose, outer, f"({', '.join(subs)}{',' * (len(subs) == 1)})"),
+    Const: "Const(value={!r})".format,
+    Var: "Var(index={!r})".format,
+    **{
+        kind: lambda left, right, k=kind.__qualname__: (f"{k}(left=", left, ", right=", right, ")")
+        for kind in _BINARY_KINDS.values()
+    },
+    Neg: lambda operand: ("Neg(operand=", operand, ")"),
+    Pow: lambda base, exponent: ("Pow(base=", base, f", exponent={exponent!r})"),
+    Compose: lambda outer, *subs: (
+        "Compose(outer=", outer, ", substitutions=(", tuple(chain.from_iterable((", ", s) for s in subs))[1:],
+        "," * (len(subs) == 1), "))",
+    ),
 }
 _MAKE = {**{kind: kind for kind in _KINDS}, Compose: lambda outer, *subs: Compose(outer, subs)}
 
@@ -283,20 +300,14 @@ def arity(e: Expr) -> int:
 
 # -- Parser -------------------------------------------------------------------
 
-# How many parentheses and unary minus signs may be open at once. The parser
-# recurses four stack frames deep per open parenthesis, so the deepest input
-# accepted needs about 800 frames, inside Python's default recursion limit
-# of 1000; a deeper one is a positioned ParseError.
+# How many parentheses and unary minus signs may be open at once: the parser
+# recurses four frames per parenthesis, so the deepest input takes about 800
+# of Python's default limit of 1000, and a deeper one is a ParseError.
 MAX_NESTING = 200
 
-# How many levels deep the tree may be: each operator (binary, minus sign or
-# power) sits one level above its deepest operand, so a left-deep chain of n
-# operators counts n. This is the budget of ``_evaluate``, the one tree walk
-# that recurses, once per level: it needs about 8 frames more than the height
-# (Python 3.11), which leaves about 190 of the default 1000 for the caller's
-# own. Every other walk keeps an explicit stack and takes any height. A
-# deeper tree is a ParseError at its first operator past it.
-MAX_DEPTH = 800
+# How many characters a source may hold: Linux's limit on one command-line
+# argument, so every ``--expr`` fits. A longer one is refused untokenized.
+MAX_SOURCE = 2**17
 
 # One (whitespace, text) pair per token, listed by one findall. Its search
 # skips any character no token may start with, so the pairs then fall short
@@ -342,7 +353,6 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
-        self.height = 0  # tree levels of the last operand parsed
 
     def error(self, message: str, pos: int, expected: tuple[str, ...] = ()) -> ParseError:
         offset = sum(map(len, chain.from_iterable(self.tokens[:pos]))) + len(self.tokens[pos][0])
@@ -351,9 +361,6 @@ class _Parser:
     def unexpected(self, expected: tuple[str, ...]) -> ParseError:
         text = self.tokens[self.pos][1]
         return self.error(f"unexpected {repr(text) if text else _END}", self.pos, expected)
-
-    def too_deep(self, pos: int) -> ParseError:
-        return self.error(f"expression more than {MAX_DEPTH} levels deep", pos)
 
     def enter(self, pos: int) -> None:
         self.depth += 1
@@ -384,21 +391,12 @@ class _Parser:
         operators = _LEVELS[level]
         e = self.factor() if level else self.expr(1)
         while (node := operators.get(self.tokens[self.pos][1])) is not None:
-            # The new node sits one level above its deeper operand.
-            pos = self.pos
-            height = self.height
-            self.pos = pos + 1
+            self.pos += 1
             e = node(e, self.factor() if level else self.expr(1))
-            if self.height > height:
-                height = self.height
-            if height >= MAX_DEPTH:
-                raise self.too_deep(pos)
-            self.height = height + 1
         return e
 
     def factor(self) -> Expr:
         tokens = self.tokens
-        start = self.pos
         negations = 0
         while tokens[self.pos][1] == "-":
             self.enter(self.pos)
@@ -412,14 +410,6 @@ class _Parser:
                 raise self.error("exponent must be a nonnegative integer literal", pos, ("natural number",))
             self.pos = pos + 1
             e = Pow(e, self.integer(pos, text))
-            if self.height >= MAX_DEPTH:
-                raise self.too_deep(pos - 1)
-            self.height += 1
-        if negations:
-            # The minus sign at level MAX_DEPTH + 1 is the one to report.
-            if self.height + negations > MAX_DEPTH:
-                raise self.too_deep(start + negations - (MAX_DEPTH + 1 - self.height))
-            self.height += negations
         self.depth -= negations
         for _ in range(negations):
             e = Neg(e)
@@ -429,9 +419,8 @@ class _Parser:
         tokens = self.tokens
         pos = self.pos
         text = tokens[pos][1]
-        self.height = 0
+        self.pos = pos + 1  # one token, but for a rational literal or an error
         if text.isdecimal():
-            self.pos = pos + 1
             if tokens[pos + 1] == ("", "/"):
                 space, den = tokens[pos + 2]
                 if not space and den.isdecimal():
@@ -443,48 +432,49 @@ class _Parser:
                     return Const(Fraction(self.integer(pos, text), q))
             return Const(Fraction(self.integer(pos, text)))
         if text[:1] == "x":
-            self.pos = pos + 1
             return Var(self.integer(pos, text[1:]))
         if "." in text:
-            self.pos = pos + 1
             whole, frac = text.split(".")
             return Const(Fraction(self.integer(pos, whole + frac), 10 ** len(frac)))
         if text == "(":
             self.enter(pos)
-            self.pos = pos + 1
             e = self.expr()
             if tokens[self.pos][1] != ")":
                 raise self.unexpected(("')'",))
             self.pos += 1
             self.depth -= 1
             return e
+        self.pos = pos
         raise self.unexpected(("number", "variable", "'('", "'-'"))
 
 
 def parse(source: str) -> Expr:
     """Parse source text into an AST, or raise ParseError with position.
 
-    Nesting deeper than ``MAX_NESTING`` parentheses and unary minus signs is
-    a ParseError at the first sign past the limit, and a tree deeper than
-    ``MAX_DEPTH`` levels one at the first operator past it.
+    A source longer than ``MAX_SOURCE`` characters is a ParseError at its
+    first character past that limit, and nesting deeper than ``MAX_NESTING``
+    parentheses and unary minus signs one at the first sign past that limit.
     """
+    if len(source) > MAX_SOURCE:
+        raise _error(source, f"source of {len(source)} characters is over the limit of {MAX_SOURCE}", MAX_SOURCE)
     return _Parser(source).parse()
 
 
 # -- Printing -----------------------------------------------------------------
 
+# Each node's text in pieces, joined once by ``_text``.
 _PRINT = {
     Const: lambda value: f"(-{-value})" if value < 0 else str(value),
     Var: "x{}".format,
-    **{kind: f"({{}} {kind.symbol} {{}})".format for kind in _BINARY_KINDS.values()},
-    Neg: "(-{})".format,
-    Pow: "({} ^ {})".format,
+    **{kind: lambda left, right, s=f" {kind.symbol} ": ("(", left, s, right, ")") for kind in _BINARY_KINDS.values()},
+    Neg: lambda operand: ("(-", operand, ")"),
+    Pow: lambda base, exponent: ("(", base, f" ^ {exponent})"),
 }
 
 
 def pretty_print(e: Expr) -> str:
     """Canonical fully-parenthesized text; inverse of parse on its image."""
-    return fold(walk(e, True), _PRINT)
+    return _text(fold(walk(e, True), _PRINT))
 
 
 # -- Substitution -------------------------------------------------------------
@@ -506,54 +496,82 @@ def _identity_lift(c: Fraction) -> Fraction:
 
 
 def evaluate(e: Expr, args, lift=None):
-    """Evaluate over the carrier of ``args``.
+    """Evaluate over the carrier of ``args``, at any tree height: recursion
+    follows only right operands and the operands of other nodes.
 
     ``lift`` embeds a Fraction constant into the carrier (identity by
-    default, so rational arguments need nothing extra; pass ``float`` for
-    binary64, or a jet-constant embedding for Weil carriers). Jets divide by
-    one triangular solve; other carriers multiply by ``1 / right``, so floats
-    keep their bits. Division fails with EvaluationError when the denominator
-    is not invertible.
+    default; pass ``float`` for binary64, or a jet-constant embedding for
+    Weil carriers). Jets divide by one triangular solve, other carriers
+    multiply by ``1 / right`` so floats keep their bits; a denominator that
+    is not invertible is an EvaluationError naming the division's path.
 
     Arguments must cover arity(e), or ArityMismatchError is raised. The count
-    is checked only when a variable is missing, not walked up front, so an
-    EvaluationError met before the first missing variable is raised instead.
+    is checked only when a variable is missing, so an EvaluationError met
+    before the first missing variable is raised instead.
     """
     args = tuple(args)
     try:
-        return _evaluate(e, args, lift or _identity_lift, ())
+        return _evaluate(e, args, lift or _identity_lift)
+    except _Failure as failure:
+        raise EvaluationError("division by a non-invertible value", tuple(failure.steps[::-1]), failure.node) from None
     except IndexError:
         if len(args) >= arity(e):
             raise
     raise ArityMismatchError(f"expression has arity {arity(e)} but got {len(args)} arguments")
 
 
-def _evaluate(e: Expr, args, lift, path):
-    if isinstance(e, Const):
-        return lift(e.value)
+class _Failure(Exception):
+    # A failed division and its path's steps, last first, added as it leaves each ``_evaluate``.
+    def __init__(self, node: Expr):
+        self.node, self.steps = node, []
+
+
+def _evaluate(e: Expr, args, lift):
+    # Gathers the binary nodes down e's left operands (its spine) in a loop
+    # and applies them bottom up, recursing only into their right operands.
     if isinstance(e, Var):
         return args[e.index]
-    if isinstance(e, _Binary):
-        left = _evaluate(e.left, args, lift, path + (0,))
-        right = _evaluate(e.right, args, lift, path + (1,))
-        if e.op is not None:
-            return e.op(left, right)
-        try:
-            return left / right if hasattr(right, "invert") else left * (1 / right)
-        except BudgetError:
-            raise
-        except (ZeroDivisionError, WeiljetError):
-            raise EvaluationError("division by a non-invertible value", path, e) from None
-    if isinstance(e, Neg):
-        return -_evaluate(e.operand, args, lift, path + (0,))
-    if isinstance(e, Pow):
-        return _evaluate(e.base, args, lift, path + (0,)) ** e.exponent
-    if isinstance(e, Compose):
-        inner_args = [None] * len(e.substitutions)
-        for j in e._used:
-            inner_args[j] = _evaluate(e.substitutions[j], args, lift, path + (1 + j,))
-        return _evaluate(e.outer, tuple(inner_args), lift, path + (0,))
-    raise TypeError(f"not an Expr node: {e!r}")
+    if isinstance(e, Const):
+        return lift(e.value)
+    spine, node, step = [], None, 0
+    while isinstance(e, _Binary):
+        spine.append(e)
+        e = e.left
+    try:
+        if isinstance(e, Neg):
+            value = -_evaluate(e.operand, args, lift)
+        elif isinstance(e, Pow):
+            value = _evaluate(e.base, args, lift) ** e.exponent
+        elif isinstance(e, Compose):
+            inner_args = [None] * len(e.substitutions)
+            for j in e._used:
+                step = 1 + j
+                inner_args[j] = _evaluate(e.substitutions[j], args, lift)
+            step = 0
+            value = _evaluate(e.outer, tuple(inner_args), lift)
+        elif spine:  # a Var or Const
+            value = _evaluate(e, args, lift)
+        else:
+            raise TypeError(f"not an Expr node: {e!r}")
+        step = 1
+        while spine:
+            node = spine.pop()
+            right = _evaluate(node.right, args, lift)
+            if node.op is not None:
+                value = node.op(value, right)
+                continue
+            try:
+                value = value / right if hasattr(right, "invert") else value * (1 / right)
+            except BudgetError:
+                raise
+            except (ZeroDivisionError, WeiljetError):
+                raise _Failure(node) from None
+    except _Failure as failure:
+        if failure.node is not node:  # inside an operand, not node's own division
+            failure.steps.append(step)
+        failure.steps += [0] * len(spine)  # node's level, or the foot's
+        raise
+    return value
 
 
 # -- JSON ---------------------------------------------------------------------

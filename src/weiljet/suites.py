@@ -170,8 +170,11 @@ def _rules(*verdicts) -> None:
 # Suite name -> its check, which draws one instance from the random.Random
 # it is given, states each comparison through ``_same`` or ``_rules`` and
 # returns nothing. ``run_suite`` turns the first failed comparison (its
-# description and both sides, or a verdict's text) or any WeiljetError a
-# fault raised inside the check into the instance's counterexample.
+# description and both sides, or a verdict's text) or any WeiljetError raised
+# inside the check into the instance's counterexample, and any other
+# Exception, MemoryError and RecursionError included, into "internal fault:
+# <type>: <message>": the instance's frames are gone once it is caught, so
+# the next instance starts clean. KeyboardInterrupt still ends the run.
 _SUITE_CHECKS: dict = {}
 
 
@@ -201,6 +204,8 @@ def run_suite(name: str, config: SuiteConfig = SuiteConfig()) -> SuiteResult:
             check(random.Random(f"{config.seed}:{name}:{idx}"))
         except WeiljetError as exc:
             first = first or f"instance {idx}: {exc}"
+        except Exception as exc:
+            first = first or f"instance {idx}: internal fault: {type(exc).__name__}: {exc}"
         else:
             passes += 1
     return SuiteResult(name, config.instances, passes, first)

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import weiljet
+from weiljet import cli
 from weiljet.calculus import mixed_derivative
 from weiljet.cli import main
 from weiljet.errors import int_digit_limit
-from weiljet.expression import MAX_DEPTH, MAX_NESTING, parse
+from weiljet.expression import MAX_NESTING, MAX_SOURCE, parse
 
 GOLDEN_TAYLOR = """\
 mode: box
@@ -273,6 +274,46 @@ def test_check_rejects_negative_instances(capsys):
     assert len(err.strip().splitlines()) == 1 and "--instances" in err
 
 
+def test_check_refuses_more_instances_than_its_bound(capsys, monkeypatch):
+    code, out, err = run_cli(["check", "--instances", str(cli.MAX_INSTANCES + 1)], capsys)
+    assert (code, out) == (64, "")
+    assert err == f"weiljet: usage error: --instances must be at most 10000, got {cli.MAX_INSTANCES + 1}\n"
+    monkeypatch.setattr(cli, "MAX_INSTANCES", 3)
+    assert run_cli(["check", "--suite", "lemma-3.1.2", "--instances", "3"], capsys)[0] == 0
+    assert run_cli(["check", "--suite", "lemma-3.1.2", "--instances", "4"], capsys)[0] == 64
+
+
+def _child(argv, stdout):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "weiljet.cli", *argv]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+_WIDE = ["taylor", "--expr", "1/(1+x0*x1*x2*x3*x4*x5*x6*x7*x8*x9)", "--at", ",".join("1" * 10)]
+_WIDE += ["--orders", ",".join("1" * 10), "--format", "json"]
+
+
+@pytest.mark.parametrize("when", ["before-any-output", "after-ten-bytes"])
+def test_closing_stdout_early_is_one_line_and_exit_2(when):
+    # The reader goes away before the child writes, or after reading 10 of
+    # the wide table's bytes, more than a pipe holds: either way the next
+    # write fails, which once ended in a BrokenPipeError traceback.
+    if when == "before-any-output":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = _child(["derive", "--expr", "x0^2", "--at", "3", "--alpha", "1"], write_end)
+        os.close(write_end)
+    else:
+        proc = _child(_WIDE, subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "weiljet: error: standard output was closed before all output was written\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -413,55 +454,91 @@ def test_nesting_at_the_limit_still_parses(capsys, expr, value):
     assert (code, out, err) == (0, value + "\n", "")
 
 
+def test_right_operands_nested_to_the_limit_evaluate(capsys):
+    # Each parenthesis opens three levels of evaluation's recursion: a
+    # product's right operand, a power's base and the difference inside it.
+    expr = "x0-x0*(" * MAX_NESTING + "x0" + ")^1" * MAX_NESTING
+    value, slope = 2, 1  # f = x0 and its derivative at 2, then x0 - x0*f
+    for _ in range(MAX_NESTING):
+        value, slope = 2 - 2 * value, 1 - value - 2 * slope
+    code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
+    assert (code, out, err) == (0, f"{slope}\n", "")
+
+
 def _chain(op, terms):
     return op.join(["x0"] * terms)
 
 
-_DEEP_SUM = "(" + _chain("+", MAX_DEPTH + 1) + ")"
+# How many x0 a chain spells in exactly MAX_SOURCE characters: 3n - 1 of them.
+_LONGEST = (MAX_SOURCE + 1) // 3
+_DEEP_SUM = "(" + _chain("+", _LONGEST - 1) + ")"
 
 
-# Each case is (expression, column of the first token past MAX_DEPTH). A sum
-# of 3,000 terms ended in a RecursionError traceback.
+# The tree's height has no limit of its own: a tree h levels deep spells at
+# least 2h + 1 characters, so MAX_SOURCE bounds it. Each case, once a tree
+# past an 800-level limit, is now that shape grown past MAX_SOURCE, refused
+# at the first character past it before it is tokenized. A sum of 70,000
+# terms is what a shell cannot pass as one argument.
 @pytest.mark.parametrize(
-    "expr, column",
+    "expr",
     [
-        (_chain("+", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
-        (_chain("+", 3000), 3 * (MAX_DEPTH + 1)),
-        (_chain("*", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
-        (_chain("/", MAX_DEPTH + 2), 3 * (MAX_DEPTH + 1)),
-        (_DEEP_SUM + "^2", len(_DEEP_SUM) + 1),
-        (_DEEP_SUM + "*x0", len(_DEEP_SUM) + 1),
-        ("x0-" + _DEEP_SUM, 3),
-        # The inner sum is MAX_DEPTH - 5 deep; the sixth minus sign from the
-        # inside, the fifth from the left, is one level too many.
-        ("-" * 10 + "(" + _chain("+", MAX_DEPTH - 4) + ")", 5),
+        _chain("+", _LONGEST + 1),
+        _chain("+", 70000),
+        _chain("*", _LONGEST + 1),
+        _chain("/", _LONGEST + 1),
+        _DEEP_SUM + "^2",
+        _DEEP_SUM + "*x0",
+        "x0-" + _DEEP_SUM,
+        "-" * 10 + "(" + _chain("+", _LONGEST - 3) + ")",
     ],
     ids=["sum", "long-sum", "product", "quotient", "power", "right-factor", "right-term", "minus-signs"],
 )
-def test_a_tree_past_the_depth_budget_is_a_parse_error(capsys, expr, column):
+def test_a_tree_past_the_depth_budget_is_a_parse_error(capsys, expr):
+    assert len(expr) > MAX_SOURCE
     start = time.perf_counter()
     code, out, err = run_cli(["derive", f"--expr={expr}", "--at", "2", "--alpha", "1"], capsys)
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("weiljet: error:") and f"more than {MAX_DEPTH} levels deep at line 1, column {column}" in err
+    assert err == (
+        f"weiljet: error: source of {len(expr)} characters is over the limit of {MAX_SOURCE} "
+        f"at line 1, column {MAX_SOURCE + 1}\n"
+    )
+
+
+# Trees of the most levels a source of MAX_SOURCE characters spells, over 50
+# times the former limit of 800, on every command that takes an expression.
+_NEGATED = "-" * (MAX_NESTING - 1) + "(" + _chain("*", (MAX_SOURCE - MAX_NESTING) // 3) + ")"
 
 
 @pytest.mark.parametrize(
     "argv, value",
     [
-        (["derive", "--expr", _chain("+", MAX_DEPTH + 1), "--at", "2", "--alpha", "1"], str(MAX_DEPTH + 1)),
-        (["derive", "--expr=" + "-" * 199 + "(" + _chain("*", MAX_DEPTH - 198) + ")", "--at", "1", "--alpha", "1"], str(198 - MAX_DEPTH)),
-        (["taylor", "--expr", _chain("-", MAX_DEPTH + 1), "--at", "2", "--orders", "1", "--format", "json"], None),
-        (["fd-check", "--expr", _chain("+", MAX_DEPTH + 1), "--at", "2", "--wrt", "0"], None),
+        (["derive", "--expr", _chain("+", _LONGEST), "--at", "2", "--alpha", "1"], str(_LONGEST)),
+        (["derive", "--expr=" + _NEGATED, "--at", "1", "--alpha", "1"], str(-((MAX_SOURCE - MAX_NESTING) // 3))),
+        (["taylor", "--expr", _chain("-", _LONGEST), "--at", "2", "--orders", "1", "--format", "json"], None),
+        (["fd-check", "--expr", _chain("+", _LONGEST), "--at", "2", "--wrt", "0"], None),
     ],
     ids=["sum", "negated-product", "taylor-json", "fd-check"],
 )
 def test_a_tree_at_the_depth_budget_still_runs(capsys, argv, value):
+    assert [len(arg.removeprefix("--expr=")) for arg in argv if "x0" in arg] == [MAX_SOURCE]
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     if value is not None:
         assert out == value + "\n"
+    if argv[0] == "taylor":
+        assert json.loads(out)["result"]["entries"][-1]["value"] == {"num": str(2 - _LONGEST), "den": "1"}
+
+
+def test_the_ten_thousand_term_polynomial_derives_in_under_a_second(capsys):
+    expr = "+".join(f"{k}*x0^{k % 7}" for k in range(1, 10001))
+    x = Fraction(1, 2)
+    expected = sum(k * e * (e - 1) * (e - 2) * x ** (e - 3) for k in range(1, 10001) if (e := k % 7) >= 3)
+    start = time.perf_counter()
+    code, out, err = run_cli(["derive", "--expr", expr, "--at", "1/2", "--alpha", "3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 def test_a_huge_power_fails_at_the_bit_budget(capsys):

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import time
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljet.expression import (
-    MAX_DEPTH,
     MAX_NESTING,
+    MAX_SOURCE,
     Add,
     Compose,
     Const,
@@ -131,16 +132,24 @@ def test_parse_error_positions():
 PARSE_CORPUS = Path(__file__).resolve().parent / "golden" / "parse_corpus.json"
 
 
-# Trees exactly MAX_DEPTH levels deep, each built a different way, and each
-# with one level more: a sum; a product under MAX_NESTING - 1 minus signs; a
-# power of a difference; MAX_NESTING parenthesized three-operator chains,
-# each the first operand of the next, continued by a sum.
+def _chain(op, var, budget):
+    # The longest chain of var joined by op that fits in budget characters.
+    return op.join([var] * ((budget + len(op)) // (len(var) + len(op))))
+
+
+# The deepest trees of four shapes a source of MAX_SOURCE characters spells,
+# padded with trailing spaces to exactly that length, and each with one level
+# more: a sum; a product under MAX_NESTING - 1 minus signs; a power of a
+# difference; a sum continued by MAX_NESTING parenthesized three-operator
+# chains, each the first operand of the next.
+_NESTED = "+" + "(" * MAX_NESTING + "x0" + ")*x1-x0+2" * MAX_NESTING
 _DEEPEST = {
-    "sum": ("+".join(["x0"] * (MAX_DEPTH + 1)), "{}+x1"),
-    "negated-product": ("-" * (MAX_NESTING - 1) + "(" + "*".join(["x1"] * (MAX_DEPTH - MAX_NESTING + 2)) + ")", "x0*{}"),
-    "power": ("(" + "-".join(["x0"] * MAX_DEPTH) + ")^2", "-{}"),
-    "parenthesized": ("(" * MAX_NESTING + "x0" + ")*x1-x0+2" * MAX_NESTING + "+x1" * (MAX_DEPTH - 3 * MAX_NESTING), "{}-x1"),
+    "sum": (_chain("+", "x0", MAX_SOURCE), "{}+x1"),
+    "negated-product": ("-" * (MAX_NESTING - 1) + "(" + _chain("*", "x1", MAX_SOURCE - MAX_NESTING - 1) + ")", "x0*{}"),
+    "power": ("(" + _chain("-", "x0", MAX_SOURCE - 4) + ")^2", "-{}"),
+    "parenthesized": (_chain("+", "x1", MAX_SOURCE - len(_NESTED)) + _NESTED, "{}-x1"),
 }
+_DEEPEST = {name: (source.ljust(MAX_SOURCE), deeper) for name, (source, deeper) in _DEEPEST.items()}
 
 
 def _height(e) -> int:
@@ -157,15 +166,15 @@ def _height(e) -> int:
 @pytest.mark.parametrize("source", [source for source, _ in _DEEPEST.values()], ids=_DEEPEST)
 def test_the_deepest_accepted_tree_passes_every_walk(source):
     e = parse(source)
-    assert _height(e) == MAX_DEPTH
+    assert len(source) == MAX_SOURCE and _height(e) > MAX_SOURCE // 4
     assert variables(e) <= {0, 1}
-    x = [Fraction(3, 2), Fraction(-1, 3)]
+    x = [Fraction(3, 2), Fraction(-1)]
     value = evaluate(e, x)
     shape = Shape((1, 1))
     jets = [constant(shape, c) + generator(shape, i) for i, c in enumerate(x)]
     assert evaluate(e, jets, lift=partial(constant, shape)).constant_term() == value
     assert evaluate(substitute(e, [Var(1), Var(0)]), x[::-1]) == value
-    assert pretty_print(e).count("(") >= MAX_DEPTH
+    assert pretty_print(e).count("(") >= _height(e)
     assert expr_to_json(e)["op"] in {"add", "sub", "mul", "neg", "pow"}
     assert to_poly(e).arity == arity(e)
 
@@ -202,7 +211,7 @@ def _negated_power_chain(height):
 _SHAPES = {"left-deep-sum": _left_deep_sum, "right-deep-product": _right_deep_product, "neg-pow-sub": _negated_power_chain}
 
 
-@pytest.mark.parametrize("height", [MAX_DEPTH, 10 * MAX_DEPTH])
+@pytest.mark.parametrize("height", [800, 8000])
 @pytest.mark.parametrize("build", _SHAPES.values(), ids=_SHAPES)
 def test_every_walk_but_evaluation_takes_any_height(build, height):
     e, text, rep, terms = build(height)
@@ -225,7 +234,7 @@ def test_every_walk_but_evaluation_takes_any_height(build, height):
 
 @pytest.mark.parametrize("source, deeper", _DEEPEST.values(), ids=_DEEPEST)
 def test_one_level_more_is_a_parse_error(source, deeper):
-    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels deep"):
+    with pytest.raises(ParseError, match=f"over the limit of {MAX_SOURCE} at line 1, column {MAX_SOURCE + 1}$"):
         parse(deeper.format(source))
 
 
@@ -341,6 +350,80 @@ def test_evaluation_error_carries_location():
         evaluate(parse("1 + 1/(x0-2)"), [Fraction(2)])
     assert info.value.path == (1,)
     assert "x0" in pretty_print(info.value.subexpr)
+
+
+_POLE = parse("1/(x0 - 2)")
+
+
+# Each case: an expression with one division by zero at x0 = 2 and that
+# division's path. Evaluation walks a chain of left operands in a loop, so
+# these are failures on such a chain, at its top, inside a right operand,
+# and in a composition's substitution and outer expression.
+_FAILURES = {
+    "left-chain": (parse("1/(x0 - 2) + x0 + 3"), (0, 0)),
+    "top": (_POLE, ()),
+    "under-a-power": (parse("-(1/(x0 - 2))^2 * x0 + 5"), (0, 0, 0, 0)),
+    "right-operand": (parse("x0 + x0*(x0 - 1/(x0 - 2))"), (1, 1, 1)),
+    "substitution": (Add(Const(1), Compose(parse("x0 + x1"), (Var(0), Add(Const(3), _POLE)))), (1, 2, 1)),
+    "outer": (Mul(Compose(parse("x0 + 1/(x1 - 2)"), (Const(5), Var(0))), Var(0)), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("e, path", _FAILURES.values(), ids=_FAILURES)
+@pytest.mark.parametrize("carrier", ["fraction", "jet"])
+def test_an_evaluation_error_names_the_path_of_the_failed_division(e, path, carrier):
+    shape = Shape((2,))
+    args, lift = ([Fraction(2)], None) if carrier == "fraction" else ([constant(shape, 2)], partial(constant, shape))
+    with pytest.raises(EvaluationError) as info:
+        evaluate(e, args, lift)
+    sub = e
+    for step in path:
+        fields = (sub.outer, *sub.substitutions) if isinstance(sub, Compose) else sub._values
+        sub = fields[step]
+    assert info.value.path == path and info.value.subexpr == sub and isinstance(sub, Div)
+    assert str(info.value) == (
+        f"division by a non-invertible value in sub-expression '{pretty_print(sub)}' at path {path}"
+    )
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_evaluation_takes_any_height_down_left_operands():
+    # A left-deep chain of 99,999 operators, and right operands nested as
+    # deep as the parser accepts: three levels of recursion per parenthesis.
+    e = Var(0)
+    for k in range(99_999):
+        e = (Add, Sub, Mul)[k % 3](e, Const(1) if k % 3 == 2 else Var(0))
+    assert evaluate(e, [Fraction(1)]) == 1
+    right = parse("x0-x0*(" * MAX_NESTING + "x0" + ")^1" * MAX_NESTING)
+    shape = Shape((1,))
+    x = Fraction(1, 2)
+    jet = evaluate(right, [constant(shape, x) + generator(shape, 0)], partial(constant, shape))
+    value = x
+    for _ in range(MAX_NESTING):
+        value = x - x * value
+    assert jet.constant_term() == evaluate(right, [x]) == value
+
+
+def test_printing_takes_time_linear_in_the_tree():
+    # Joining text at every node copied a 40,000-term sum's text once per
+    # level: its repr took 17 s and its printed form 0.3 s.
+    e = parse("+".join(["x0"] * 40_000))
+    start = time.perf_counter()
+    text = repr(e)
+    assert time.perf_counter() - start < 1.0
+    assert text == "Add(left=" * 39_999 + "Var(index=0)" + ", right=Var(index=0))" * 39_999
+    start = time.perf_counter()
+    text = pretty_print(e)
+    assert time.perf_counter() - start < 1.0
+    assert text == "(" * 39_999 + "x0" + " + x0)" * 39_999
+
+
+def test_the_printed_form_parses_back_up_to_the_nesting_limit():
+    # A left-deep sum of h operators prints with h parentheses open at once.
+    deepest = parse("+".join(["x0"] * (MAX_NESTING + 1)))
+    assert parse(pretty_print(deepest)) == deepest
+    with pytest.raises(ParseError, match=f"more than {MAX_NESTING} parentheses"):
+        parse(pretty_print(Add(deepest, Var(0))))
 
 
 def test_substitute_examples():

@@ -215,6 +215,41 @@ def test_a_fault_inside_a_suite_is_its_counterexample(monkeypatch, capsys):
     assert [row.split()[0] for row in rows] == list(suite_names())
 
 
+def _raises(error):
+    def fault(*args):
+        raise error
+
+    return fault
+
+
+@pytest.mark.parametrize(
+    "suite, method, error, text",
+    [
+        ("lemma-3.1.5", "__pow__", ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+        ("lemma-3.1.3", "__mul__", KeyError(2), "KeyError: 2"),
+    ],
+    ids=["zero-division", "key-error"],
+)
+def test_an_exception_from_the_kernel_is_an_internal_fault_of_its_instance(
+    monkeypatch, capsys, suite, method, error, text
+):
+    # A bug in the code under test, not a failed comparison: check still
+    # prints its table, names the fault and exits 2. A caller of the kernel
+    # still sees the exception itself.
+    monkeypatch.setattr(WeilElement, method, _raises(error))
+    assert main(["check", "--suite", suite, "--instances", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        f"{suite}  0/2  FAIL",
+        f"  counterexample: instance 0: internal fault: {text}",
+        "overall: FAIL",
+    ]
+    assert captured.err == ""
+    x = generator(random_shape(random.Random(0)), 0)
+    with pytest.raises(type(error)):
+        getattr(x, method)(x if method == "__mul__" else 2)
+
+
 def test_an_identity_violation_inside_a_suite_is_its_counterexample(monkeypatch, capsys):
     monkeypatch.setattr(WeilElement, "__ne__", lambda a, b: True, raising=False)
     with pytest.raises(IdentityViolationError):

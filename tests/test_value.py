@@ -21,7 +21,7 @@ import pytest
 from weiljet import expression
 from weiljet.calculus import DerivTable, RuleVerdict
 from weiljet.cli import RunReport
-from weiljet.expression import MAX_DEPTH, Add, Compose, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, evaluate
+from weiljet.expression import MAX_SOURCE, Add, Compose, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, evaluate
 from weiljet.oracle import SparsePoly, oracle_mixed
 from weiljet.suites import SuiteConfig, SuiteResult
 from weiljet.weil import Shape
@@ -151,7 +151,7 @@ def _left_deep_sum(height):
     return e
 
 
-@pytest.mark.parametrize("height", [MAX_DEPTH, 10 * MAX_DEPTH])
+@pytest.mark.parametrize("height", [800, 8000])
 def test_deep_trees_compare_hash_and_print_without_recursion(height):
     e, twin = _left_deep_sum(height), _left_deep_sum(height)
     assert e == twin and hash(e) == hash(twin)
@@ -163,9 +163,11 @@ def test_deep_trees_compare_hash_and_print_without_recursion(height):
 
 def test_the_oracle_takes_a_tree_at_the_depth_budget():
     # oracle_mixed keys its expansion memo on the expression, so it hashes it.
-    e = _left_deep_sum(MAX_DEPTH)
-    assert oracle_mixed(e, (1,), (2,)) == MAX_DEPTH + 1
-    assert oracle_mixed(_left_deep_sum(MAX_DEPTH), (0,), (2,)) == 2 * (MAX_DEPTH + 1)
+    # "x0+x0+...+x0" in MAX_SOURCE characters is the deepest sum a source spells.
+    height = (MAX_SOURCE - 2) // 3
+    e = _left_deep_sum(height)
+    assert oracle_mixed(e, (1,), (2,)) == height + 1
+    assert oracle_mixed(_left_deep_sum(height), (0,), (2,)) == 2 * (height + 1)
 
 
 def test_a_composition_keeps_its_variables_for_evaluation(monkeypatch):
