@@ -37,7 +37,7 @@ _EXPORTS = {
     "weil": (
         "CoefficientIndexError", "DegenerateGeneratorError", "NonInvertibleError", "Rational", "Shape",
         "ShapeMismatchError", "WeilElement", "constant", "element_from_json", "element_to_json",
-        "from_coefficients", "generator", "monomial", "one", "slice_coefficient", "zero",
+        "from_coefficients", "generator", "monomial", "one", "zero",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

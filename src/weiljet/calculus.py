@@ -104,17 +104,8 @@ class DerivTable(Value):
 
 
 def derivtable_to_json(table: DerivTable) -> dict:
-    entries = []
-    for alpha in table.enumeration():
-        entries.append(
-            {"alpha": list(alpha), "value": rational_to_json(table.entries[alpha])}
-        )
-    return {
-        "mode": table.mode,
-        "arity": table.arity,
-        "orders": list(table.orders),
-        "entries": entries,
-    }
+    entries = [{"alpha": list(alpha), "value": rational_to_json(table.entries[alpha])} for alpha in table.enumeration()]
+    return {"mode": table.mode, "arity": table.arity, "orders": list(table.orders), "entries": entries}
 
 
 def jet_evaluate(f: Expr, x, shape: Shape) -> WeilElement:
@@ -416,11 +407,8 @@ def _check_inverse_affine(a, b, x) -> RuleVerdict:
     forward = Add(Mul(Const(a), Var(0)), Const(b))
     inverse = Div(Sub(Var(0), Const(b)), Const(a))
     lhs = derivative(inverse, x)
-    # Slope of the forward map at the pulled-back point, then reciprocal.
-    slope = derivative(forward, evaluate(inverse, [x]))
-    if slope == 0:
-        raise InstanceRejectedError("forward slope vanishes at the pulled-back point")
-    rhs = _ONE / slope
+    # Slope of the forward map at the pulled-back point (a, so nonzero), then reciprocal.
+    rhs = _ONE / derivative(forward, evaluate(inverse, [x]))
     return _verdict("inverse_affine", {"a": a, "b": b, "x": x}, lhs, rhs)
 
 

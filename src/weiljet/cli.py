@@ -10,7 +10,8 @@ Subcommands::
 Exit codes: 0 on success, 2 on parse/evaluation/numeric failure (including a
 failing suite or tolerance, and standard output closed before all of it was
 written), 64 on usage errors (including ``check --instances`` over
-``MAX_INSTANCES``). ``--format json`` output is deterministic given
+``MAX_INSTANCES`` and a ``--at`` rational that could need more than
+``weil.COEFF_BIT_BUDGET`` bits). ``--format json`` output is deterministic given
 (command, inputs, seed); the seed defaults to the WEILJET_SEED environment
 variable, then 0. Rationals print as ``p/q`` (bare ``p`` for integers) in
 tables and as decimal-string numerator/denominator pairs in JSON. ``check`` imports the suites (and with them the oracle) and
@@ -31,7 +32,7 @@ from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, 
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
 from .value import Value
-from .weil import rational_to_json
+from .weil import COEFF_BIT_BUDGET, rational_to_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 2
@@ -62,12 +63,7 @@ class RunReport(Value):
         self.table_lines = [] if table_lines is None else table_lines
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "result": self.result,
-        }
+        return {"command": self.command, "inputs": self.inputs, "seed": self.seed, "result": self.result}
 
 
 def _parse_list(text: str, flag: str, convert) -> tuple:
@@ -87,10 +83,18 @@ def _parse_list(text: str, flag: str, convert) -> tuple:
 
 
 def _rational(part: str) -> Fraction:
+    # Fraction builds 10^exponent exactly, so "1e99999999" would take
+    # minutes: first bound the value's bits, each character of the mantissa
+    # and unit of the exponent adding under log2(10) < 3.322 bits.
+    mantissa, e, exponent = part.lower().partition("e")
     try:
-        return Fraction(part)
+        digits = len(mantissa) + (abs(int(exponent)) if e else 0)
+        value = Fraction(part) if digits * 3322 // 1000 < COEFF_BIT_BUDGET else None
     except (ValueError, ZeroDivisionError):
         raise ValueError("a rational") from None
+    if value is None:
+        raise ValueError(f"a rational of at most {COEFF_BIT_BUDGET} bits")
+    return value
 
 
 def _natural(part: str) -> int:
@@ -264,22 +268,16 @@ def build_parser() -> _Parser:
     taylor.add_argument("--at", required=True, help="comma-separated rationals ('' for arity 0)")
     taylor.add_argument("--orders", required=True, help="comma-separated naturals ('' for arity 0)")
     taylor.add_argument("--mode", choices=("box", "simplex"), default="box")
-    taylor.add_argument("--format", choices=("table", "json"), default="table")
-    taylor.set_defaults(handler=_cmd_taylor)
 
     derive = sub.add_parser("derive", help="one exact mixed derivative")
     derive.add_argument("--expr", required=True)
     derive.add_argument("--at", required=True)
     derive.add_argument("--alpha", required=True, help="comma-separated derivative orders per variable")
-    derive.add_argument("--format", choices=("table", "json"), default="table")
-    derive.set_defaults(handler=_cmd_derive)
 
     check = sub.add_parser("check", help="run identity suites")
     check.add_argument("--suite", default="all", help="suite name or 'all'")
     check.add_argument("--instances", type=int, default=200)
     check.add_argument("--seed", type=int, default=None, help="defaults to WEILJET_SEED, then 0")
-    check.add_argument("--format", choices=("table", "json"), default="table")
-    check.set_defaults(handler=_cmd_check)
 
     fd = sub.add_parser("fd-check", help="compare against central finite differences")
     fd.add_argument("--expr", required=True)
@@ -287,9 +285,10 @@ def build_parser() -> _Parser:
     fd.add_argument("--wrt", type=int, required=True)
     fd.add_argument("--h", type=float, default=1e-4)
     fd.add_argument("--rtol", type=float, default=1e-6)
-    fd.add_argument("--format", choices=("table", "json"), default="table")
-    fd.set_defaults(handler=_cmd_fd_check)
 
+    for command, handler in ((taylor, _cmd_taylor), (derive, _cmd_derive), (check, _cmd_check), (fd, _cmd_fd_check)):
+        command.add_argument("--format", choices=("table", "json"), default="table")
+        command.set_defaults(handler=handler)
     return parser
 
 

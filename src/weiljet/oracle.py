@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import perm
-from operator import add, mul, neg, sub
+from operator import add
 
 from .errors import WeiljetError
 from .expression import (
@@ -69,10 +69,7 @@ class SparsePoly(Value):
         return SparsePoly(arity, clean)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        terms = dict(self.terms)
-        for alpha, c in other.terms.items():
-            terms[alpha] = terms[alpha] + c if alpha in terms else c
-        return _poly(self.arity, terms)
+        return _expand(_Sum(self, other))
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.arity, {a: -c for a, c in self.terms.items()})
@@ -110,7 +107,35 @@ def _poly(arity: int, terms: dict) -> SparsePoly:
     return SparsePoly(arity, {a: c for a, c in terms.items() if c})
 
 
-_RING = {Add: add, Sub: sub, Mul: mul, Neg: neg, Pow: pow}
+class _Sum:
+    """``left + right``, each a SparsePoly or a _Sum, not yet added up:
+    ``to_poly`` folds a chain of n additions to _Sums and adds up their
+    terms once, where n binary sums would copy the partial sum n times. No
+    SparsePoly changes, so one a composition's substitution holds reads the
+    same at every use."""
+
+    __slots__ = ("left", "right", "poly")
+
+    def __init__(self, left, right):
+        self.left, self.right, self.poly = left, right, None
+
+
+def _expand(p) -> SparsePoly:
+    """p itself, or the SparsePoly of a _Sum, added up on first use and kept."""
+    if p.__class__ is SparsePoly:
+        return p
+    if p.poly is None:
+        terms, todo = {}, [p]
+        while todo:
+            node = todo.pop()
+            if node.__class__ is _Sum and node.poly is None:
+                todo += node.right, node.left
+                continue
+            leaf = node if node.__class__ is SparsePoly else node.poly
+            for alpha, c in leaf.terms.items():
+                terms[alpha] = terms[alpha] + c if alpha in terms else c
+        p.poly = _poly(leaf.arity, terms)
+    return p.poly
 
 
 def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
@@ -120,11 +145,15 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
         raise NotPolynomialError("expression contains division; no polynomial form")
     n = max([target_arity or 0] + [j + 1 for j in _variables(flat)])
     zero = (0,) * n  # every Var folded is one of e's, so its index is below n
-    return fold(flat, {
-        **_RING,
+    return _expand(fold(flat, {
         Const: lambda value: _poly(n, {zero: value}),
-        Var: lambda i: _poly(n, {zero[:i] + (1,) + zero[i + 1 :]: _ONE}),
-    })
+        Var: lambda i: SparsePoly(n, {zero[:i] + (1,) + zero[i + 1 :]: _ONE}),
+        Add: _Sum,
+        Sub: lambda a, b: _Sum(a, -_expand(b)),
+        Mul: lambda a, b: _expand(a) * _expand(b),
+        Neg: lambda a: -_expand(a),
+        Pow: lambda a, exponent: _expand(a) ** exponent,
+    }))
 
 
 _last: list = [None, None]  # the expression _expansion expanded last, and its expansion

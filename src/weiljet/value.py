@@ -5,6 +5,8 @@ keeps them in ``__slots__`` and sets them in its own ``__init__`` through
 ``setfield`` or ``setfields``. The first read of a class's
 ``__dataclass_fields__`` imports ``dataclasses`` and builds the table, so
 ``dataclasses.fields``, ``is_dataclass``, ``replace`` and ``asdict`` work.
+Nothing in the package calls them; the shim stays because the bench's
+tracer (``perfbench/tracing.py``) walks AST nodes with ``dataclasses.fields``.
 """
 
 from operator import attrgetter

@@ -499,13 +499,6 @@ def one(shape: Shape) -> WeilElement:
     return constant(shape, 1)
 
 
-def _unit(shape: Shape, slot: int) -> WeilElement:
-    # One at one slot, zero elsewhere.
-    nums = [0] * shape._length
-    nums[slot] = 1
-    return _raw(shape, tuple(nums), 1)
-
-
 def constant(shape: Shape, c) -> WeilElement:
     """Embed a scalar: coefficient c at alpha = 0, zero elsewhere."""
     return seeded(shape, c, ())
@@ -543,7 +536,9 @@ def monomial(shape: Shape, alpha) -> WeilElement:
         )
     if not shape.contains(alpha):
         return zero(shape)
-    return _unit(shape, shape._slot(shape.index(alpha)))
+    nums = [0] * shape._length
+    nums[shape._slot(shape.index(alpha))] = 1
+    return _raw(shape, tuple(nums), 1)
 
 
 def from_coefficients(shape: Shape, entries) -> WeilElement:
@@ -555,25 +550,6 @@ def from_coefficients(shape: Shape, entries) -> WeilElement:
             raise CoefficientIndexError(f"index {alpha} outside shape {shape}")
         coeffs[shape._slot(shape.index(alpha))] = Fraction(c)
     return _raw(shape, *_fraction_free(coeffs))
-
-
-def slice_coefficient(a: WeilElement, i: int, power: int) -> WeilElement:
-    """Collect the part of ``a`` with exactly d_i^power, as an element of the
-    shape with generator i removed.
-
-    For power = 1 this is first-order coefficient extraction with the
-    remaining generators kept live. A cap N on ``a`` becomes the cap
-    N - power on the result.
-    """
-    k = a.shape.orders
-    if not 0 <= i < len(k):
-        raise multiindex.ArityMismatchError(f"generator index {i} out of range for shape {a.shape}")
-    if power > k[i]:
-        raise CoefficientIndexError(f"power {power} exceeds order {k[i]} of generator {i}")
-    degree = a.shape.degree
-    reduced = Shape(k[:i] + k[i + 1 :], None if degree is None else degree - power)
-    nums = tuple(a._nums[a.shape._slot(a.shape.index(beta[:i] + (power,) + beta[i:]))] for beta in reduced.monomials())
-    return _reduced(reduced, nums, a.den)
 
 
 def rational_to_json(c: Fraction) -> dict:

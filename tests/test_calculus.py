@@ -244,6 +244,8 @@ def test_check_rule_preconditions():
         check_rule("mixed_symmetry", f=parse("x0*x1"), i=0, j=5, x=(1, 2))
     with pytest.raises(InstanceRejectedError):
         check_rule("chain", f=parse("1/x0"), g=parse("x0"), x=0)
+    with pytest.raises(InstanceRejectedError):
+        check_rule("power", n=-1, x=2)
     with pytest.raises(ValueError):
         check_rule("no-such-rule", x=1)
 
@@ -261,6 +263,34 @@ def test_check_rule_detects_a_false_identity():
     assert verdict.passed
     broken = verdict.__class__(verdict.rule, False, verdict.instance, 1, 2)
     assert not broken.passed and "fail" in broken.describe()
+
+
+def test_a_mixed_symmetry_fault_is_a_failing_verdict(monkeypatch):
+    # Both application orders agree, so only a wrong one-jet extraction can
+    # fail the rule: the verdict then carries it as its right-hand side.
+    import weiljet.calculus as calculus
+
+    monkeypatch.setattr(calculus, "mixed_derivative", lambda f, alpha, x: Fraction(-1))
+    verdict = check_rule("mixed_symmetry", f=parse("x0^2*x1"), i=0, j=1, x=(3, 5))
+    assert not verdict.passed
+    assert (verdict.lhs, verdict.rhs) == (6, -1)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: jet_evaluate(parse("x0"), (1, 2), Shape((1,))), ArityMismatchError),
+        (lambda: kl_decompose(parse("x0"), -1), ValueError),
+        (lambda: nth_derivative(parse("x0"), -1, 2), ValueError),
+        (lambda: taylor_box(parse("x0"), (1, 2), (1,)), ArityMismatchError),
+        (lambda: iterated_partial(parse("x0"), (0, 1), (2,)), ArityMismatchError),
+        (lambda: expand_sum_of_D(parse("x0"), 2, -1), ValueError),
+    ],
+    ids=["jet-point-length", "kl-order", "nth-order", "orders-length", "iterated-index", "sum-of-D-count"],
+)
+def test_an_argument_out_of_range_is_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 # -- invariants -------------------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -312,6 +313,91 @@ def test_closing_stdout_early_is_one_line_and_exit_2(when):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == "weiljet: error: standard output was closed before all output was written\n"
+
+
+class _ClosedStdout:
+    # A standard output whose reader has gone: every write fails, and its
+    # descriptor is a temporary file's, so main's devnull dup2 lands there.
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closing_stdout_early_in_process_points_it_at_devnull(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno()))
+        code = main(["derive", "--expr", "x0^2", "--at", "3", "--alpha", "1"])
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert code == 2
+    assert capsys.readouterr().err == "weiljet: error: standard output was closed before all output was written\n"
+    assert (tmp_path / "stdout").read_text() == ""
+
+
+@pytest.mark.filterwarnings("ignore:'weiljet.cli' found in sys.modules:RuntimeWarning")
+def test_running_the_module_exits_with_mains_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["weiljet", "derive", "--expr", "x0^2", "--at", "3", "--alpha", "1"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("weiljet.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr() == ("6\n", "")
+
+
+def test_a_value_error_other_than_the_digit_cap_propagates(capsys, monkeypatch):
+    # Only a result over the digit cap is a known ValueError; any other is a
+    # fault in the program, which must not pass as a failed request.
+    def fault(args):
+        raise ValueError("a fault")
+
+    monkeypatch.setattr(cli, "_cmd_derive", fault)
+    with pytest.raises(ValueError, match="^a fault$"):
+        main(["derive", "--expr", "x0", "--at", "1", "--alpha", "1"])
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive", "--expr", "x0", "--at", "one", "--alpha", "1"], "--at: 'one' is not a rational"),
+        (["derive", "--expr", "x0", "--at", "1", "--alpha", "1,1"], "--alpha has 2 entries but --at only 1"),
+        (["derive", "--expr", "x0*x1", "--at", "1", "--alpha", "1"], "expression needs 2 coordinates, got 1"),
+        (["taylor", "--expr", "x0*x1", "--at", "1", "--orders", "1"], "expression needs 2 coordinates, got 1"),
+        (["fd-check", "--expr", "x0", "--at", "one", "--wrt", "0"], "--at: 'one' is not a float"),
+        (["fd-check", "--expr", "x0", "--at", "1", "--wrt", "1"], "--wrt 1 out of range for point of length 1"),
+    ],
+    ids=["derive-at", "derive-alpha", "derive-arity", "taylor-arity", "fd-check-at", "fd-check-wrt"],
+)
+def test_a_bad_flag_value_is_one_usage_line(capsys, argv, message):
+    assert run_cli(argv, capsys) == (64, "", f"weiljet: usage error: {message}\n")
+
+
+@pytest.mark.parametrize("at", ["1e9999999", "1e-9999999", "1E99999999"])
+def test_a_point_past_the_bit_budget_is_refused_at_once(capsys, at):
+    # Fraction builds 10^exponent exactly: derive at 1e9999999 ran for 12.6 s
+    # and at 1e99999999 for minutes.
+    requests = [
+        ["derive", "--expr", "x0", "--at", at, "--alpha", "1"],
+        ["taylor", "--expr", "x0+x1", "--at", f"{at},1", "--orders", "1,1"],
+    ]
+    for argv in requests:
+        start = time.perf_counter()
+        result = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert result == (64, "", f"weiljet: usage error: --at: {at!r} is not a rational of at most 65536 bits\n")
+
+
+def test_a_point_with_an_exponent_still_parses():
+    assert cli._rational("1e5") == 100_000
+    assert cli._rational("2.5e-3") == Fraction(1, 400)
+    assert cli._rational("1E3") == 1000
+    assert cli._rational("1e19000") == 10**19000  # 63,117 bits, under the budget
 
 
 @pytest.mark.parametrize(

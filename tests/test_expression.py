@@ -299,6 +299,22 @@ def test_evaluate_requires_enough_arguments():
         evaluate(parse("x0 + x1"), [Fraction(1)])
 
 
+class _Faulty:
+    # A carrier whose addition fails with an IndexError of its own.
+    def __add__(self, other):
+        raise IndexError("the carrier's own fault")
+
+
+def test_a_carriers_own_index_error_is_not_an_arity_error():
+    with pytest.raises(IndexError, match="own fault"):
+        evaluate(parse("x0 + x0"), [_Faulty()])
+
+
+def test_evaluating_a_foreign_node_is_a_type_error():
+    with pytest.raises(TypeError, match="not an Expr node"):
+        evaluate(Add(Var(0), "x0"), [Fraction(1)])
+
+
 _JET = Shape((2, 1))
 _CARRIERS = {
     "fraction": ([Fraction(3)], None),
@@ -506,3 +522,8 @@ def test_expr_json_roundtrip_compose():
         "op": "add",
         "args": [{"op": "var", "index": 0}, {"op": "const", "num": "2", "den": "1"}],
     }
+
+
+def test_an_unknown_json_tag_is_refused():
+    with pytest.raises(ValueError, match="unknown op tag 'sin'"):
+        expr_from_json({"op": "neg", "args": [{"op": "sin", "args": []}]})

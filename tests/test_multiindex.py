@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weiljet.multiindex import (
     ArityMismatchError,
+    as_multiindex,
     box_index,
     enumerate_box,
     enumerate_simplex,
@@ -94,6 +95,11 @@ def test_leq_examples():
 def test_leq_length_mismatch():
     with pytest.raises(ArityMismatchError):
         leq((1, 0), (1,))
+
+
+def test_a_negative_entry_is_not_a_multiindex():
+    with pytest.raises(ValueError, match="naturals"):
+        as_multiindex((1, -1))
 
 
 def test_enumerate_box_examples():

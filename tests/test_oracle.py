@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weiljet.calculus import partial_derivative
-from weiljet.expression import Add, Const, Mul, Neg, Pow, Sub, Var, parse
+from weiljet.expression import MAX_NESTING, MAX_SOURCE, Add, Compose, Const, Mul, Neg, Pow, Sub, Var, parse, substitute
 from weiljet.oracle import (
     NotPolynomialError,
     SparsePoly,
@@ -54,6 +55,18 @@ def test_poly_eval_examples():
     assert poly_eval(SparsePoly.make(2, {(2, 1): 1}), (3, 2)) == 18
     assert poly_eval(SparsePoly.make(2, {}), (7, 7)) == 0
     assert poly_eval(SparsePoly.make(0, {(): 7}), ()) == 7
+
+
+def test_an_argument_out_of_range_is_refused():
+    p = SparsePoly.make(2, {(2, 1): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        SparsePoly.make(2, {(1,): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        poly_partial(p, 2)
+    with pytest.raises(ValueError, match="need 2 coordinates"):
+        poly_eval(p, (1,))
+    with pytest.raises(ValueError, match="out of range"):
+        finite_difference(parse("x0"), 1, (1.0,))
 
 
 def test_oracle_mixed_examples():
@@ -124,6 +137,28 @@ def test_mutating_a_to_poly_result_leaves_the_oracle_unchanged():
     p.terms[(0, 0)] = Fraction(99)
     assert oracle_mixed(f, (1, 0), (1, 2)) == 7
     assert oracle_mixed(f, (0, 0), (1, 2)) == 5
+
+
+def test_a_long_sum_after_nested_chains_expands_in_linear_time():
+    # Each + once copied the partial sum's terms, so the 400 terms of the
+    # chains ahead of a 43,023-term sum made to_poly take 2.8 s.
+    chains = "(" * MAX_NESTING + "x0" + ")*x1-x0+2" * MAX_NESTING
+    count = (MAX_SOURCE - len(chains)) // 3
+    e = parse(chains + "+" + "+".join(["x1"] * count))
+    start = time.perf_counter()
+    p = to_poly(e)
+    assert time.perf_counter() - start < 1.0
+    expected = {(1, MAX_NESTING): 1}
+    for j in range(MAX_NESTING):
+        expected[(1, j)], expected[(0, j)] = -1, 2
+    expected[(0, 1)] += count
+    assert p == SparsePoly.make(2, expected)
+
+
+def test_a_substitution_expands_the_same_at_every_use():
+    # The sum x0 + 1 stands for each of the outer expression's three x0.
+    e = Compose(parse("x0 + x0*x0 - x0 + (x0 + 2)"), (parse("x0 + 1"),))
+    assert to_poly(e) == to_poly(substitute(e, [Var(0)])) == SparsePoly.make(1, {(2,): 1, (1,): 3, (0,): 4})
 
 
 def test_to_poly_walks_once_and_a_repeated_oracle_call_not_at_all(monkeypatch):

@@ -103,6 +103,12 @@ def test_a_value_compares_hashes_prints_and_pickles_by_its_fields(cls, params, v
 
 
 @pytest.mark.parametrize("cls, params, values, frozen", CLASSES, ids=IDS)
+def test_a_value_is_unequal_to_a_foreign_operand(cls, params, values, frozen):
+    value, other = cls(*values), object()
+    assert value.__eq__(other) is NotImplemented and value != other
+
+
+@pytest.mark.parametrize("cls, params, values, frozen", CLASSES, ids=IDS)
 def test_a_frozen_value_refuses_assignment_and_the_report_takes_it(cls, params, values, frozen):
     value = cls(*values)
     name = next(iter(params))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +30,6 @@ from weiljet.weil import (
     monomial,
     one,
     seeded,
-    slice_coefficient,
     zero,
 )
 
@@ -177,15 +177,40 @@ def test_monomial_outside_box_is_zero():
     assert monomial(s, (2, 0)).is_zero()
 
 
-def test_slice_coefficient_peels_one_generator():
-    s = Shape((1, 2))
-    a = from_coefficients(s, {(0, 0): 5, (1, 0): 7, (1, 2): 3, (0, 1): 2})
-    linear = slice_coefficient(a, 0, 1)
-    assert linear.shape == Shape((2,))
-    assert linear.coefficient((0,)) == 7
-    assert linear.coefficient((2,)) == 3
-    rest = slice_coefficient(a, 0, 0)
-    assert rest.coefficient((1,)) == 2
+def test_a_foreign_operand_is_left_to_python():
+    # Each operator returns NotImplemented, so Python tries the other operand,
+    # then raises TypeError; == falls back to identity.
+    s = Shape((1,))
+    a = constant(s, 2) + generator(s, 0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(a, "x")
+    with pytest.raises(TypeError):
+        "x" * a
+    assert a.__eq__(2) is NotImplemented and a != 2
+
+
+def test_repr_spells_the_constructor_call():
+    a = constant(Shape((1,)), 2) + generator(Shape((1,)), 0)
+    text = "WeilElement(Shape(orders=(1,), degree=None), (Fraction(2, 1), Fraction(1, 1)))"
+    assert repr(a) == text
+    assert eval(text, {"WeilElement": WeilElement, "Shape": Shape, "Fraction": Fraction}) == a
+
+
+def test_an_argument_out_of_range_is_refused():
+    s = Shape((1,))
+    with pytest.raises(ZeroDivisionError, match="scalar zero"):
+        generator(s, 0) / 0
+    with pytest.raises(ValueError):
+        generator(s, 0).is_in_Dm(-1)
+    with pytest.raises(ArityMismatchError):
+        monomial(s, (1, 0))
+
+
+def test_a_scalar_of_another_type_embeds_as_its_fraction():
+    s = Shape((1,))
+    assert constant(s, "1/3") == constant(s, Fraction(1, 3))
+    assert seeded(s, 0.5, (0,)) == constant(s, Fraction(1, 2)) + generator(s, 0)
 
 
 @given(element_triples())
@@ -436,18 +461,6 @@ def test_printing_a_capped_element_walks_only_live_monomials():
     coeffs = [{"alpha": alpha, "num": "1", "den": "1"} for alpha in ([0] * 6, [1] + [0] * 5)]
     assert doc == {"orders": [6] * 6, "degree": 6, "coeffs": coeffs}
     assert text == "1 + d0"
-
-
-def test_slice_coefficient_lowers_the_cap():
-    s = Shape.simplex(3, 3)
-    a = (one(s) + generator(s, 0) + generator(s, 1) * 2 + generator(s, 2)) ** 3
-    linear = slice_coefficient(a, 1, 1)
-    assert linear.shape == Shape.simplex(2, 2)
-    uncapped = slice_coefficient(WeilElement(Shape(s.orders), a.coeffs), 1, 1)
-    for beta in linear.shape.monomials():
-        assert linear.coefficient(beta) == uncapped.coefficient(beta)
-    assert linear.coefficient((0, 0)) == 6 and linear.coefficient((1, 1)) == 12
-    assert slice_coefficient(a, 0, 3).shape == Shape((0, 0))
 
 
 def test_shapes_over_the_slot_budget_are_refused_before_allocating():
