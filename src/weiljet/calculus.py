@@ -104,8 +104,17 @@ class DerivTable(Value):
 
 
 def derivtable_to_json(table: DerivTable) -> dict:
-    entries = [{"alpha": list(alpha), "value": rational_to_json(table.entries[alpha])} for alpha in table.enumeration()]
-    return {"mode": table.mode, "arity": table.arity, "orders": list(table.orders), "entries": entries}
+    entries = []
+    for alpha in table.enumeration():
+        entries.append(
+            {"alpha": list(alpha), "value": rational_to_json(table.entries[alpha])}
+        )
+    return {
+        "mode": table.mode,
+        "arity": table.arity,
+        "orders": list(table.orders),
+        "entries": entries,
+    }
 
 
 def jet_evaluate(f: Expr, x, shape: Shape) -> WeilElement:

@@ -63,7 +63,12 @@ class RunReport(Value):
         self.table_lines = [] if table_lines is None else table_lines
 
     def to_json(self) -> dict:
-        return {"command": self.command, "inputs": self.inputs, "seed": self.seed, "result": self.result}
+        return {
+            "command": self.command,
+            "inputs": self.inputs,
+            "seed": self.seed,
+            "result": self.result,
+        }
 
 
 def _parse_list(text: str, flag: str, convert) -> tuple:
@@ -324,7 +329,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # As in Python's "Note on SIGPIPE": stdout now goes to devnull, so the
         # flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("weiljet: error: standard output was closed before all output was written", file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK if report.ok else EXIT_FAILURE

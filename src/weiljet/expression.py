@@ -223,13 +223,15 @@ def fold(flat: list, visit: dict):
     """Fold a flat form in reverse, so from the leaves up and left to right:
     a node's result is ``visit[kind](*its operands' results, *its other
     fields)``. Substituting, a composition's is its outer expression's, each
-    Var(j) in that standing for the result of substitutions[j]."""
+    Var(j) in that standing for the result of substitutions[j], passed once
+    through ``visit[_BIND]`` if there is one."""
     done, scopes = [], []
+    bind = visit.get(_BIND)
     for kind, count, *fields in reversed(flat):
         operands = done[len(done) - count :]
         del done[len(done) - count :]
         if kind is _BIND:
-            scopes.append(dict(zip(fields, operands)))
+            scopes.append(dict(zip(fields, map(bind, operands) if bind else operands)))
         elif kind is _OUTER:
             scopes.pop()  # the outer's result is the composition's
         elif kind is Var and scopes:

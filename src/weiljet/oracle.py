@@ -31,6 +31,7 @@ from .expression import (
     Pow,
     Sub,
     Var,
+    _BIND,
     _variables,
     evaluate,
     fold,
@@ -69,7 +70,7 @@ class SparsePoly(Value):
         return SparsePoly(arity, clean)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        return _expand(_Sum(self, other))
+        return _expand((self, other))
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.arity, {a: -c for a, c in self.terms.items()})
@@ -107,35 +108,23 @@ def _poly(arity: int, terms: dict) -> SparsePoly:
     return SparsePoly(arity, {a: c for a, c in terms.items() if c})
 
 
-class _Sum:
-    """``left + right``, each a SparsePoly or a _Sum, not yet added up:
-    ``to_poly`` folds a chain of n additions to _Sums and adds up their
-    terms once, where n binary sums would copy the partial sum n times. No
-    SparsePoly changes, so one a composition's substitution holds reads the
-    same at every use."""
-
-    __slots__ = ("left", "right", "poly")
-
-    def __init__(self, left, right):
-        self.left, self.right, self.poly = left, right, None
-
-
 def _expand(p) -> SparsePoly:
-    """p itself, or the SparsePoly of a _Sum, added up on first use and kept."""
+    """p itself, or the SparsePoly of a sum ``(left, right)`` whose sides are
+    SparsePolys or such sums: ``to_poly`` folds a chain of n additions to
+    pairs and adds up their terms once, where n binary sums would copy the
+    partial sum n times. No SparsePoly changes, and a composition's
+    substitutions are expanded when bound, so no pair is walked twice."""
     if p.__class__ is SparsePoly:
         return p
-    if p.poly is None:
-        terms, todo = {}, [p]
-        while todo:
-            node = todo.pop()
-            if node.__class__ is _Sum and node.poly is None:
-                todo += node.right, node.left
-                continue
-            leaf = node if node.__class__ is SparsePoly else node.poly
-            for alpha, c in leaf.terms.items():
-                terms[alpha] = terms[alpha] + c if alpha in terms else c
-        p.poly = _poly(leaf.arity, terms)
-    return p.poly
+    terms, todo = {}, [p]
+    while todo:
+        node = todo.pop()
+        if node.__class__ is tuple:
+            todo += reversed(node)
+            continue
+        for alpha, c in node.terms.items():
+            terms[alpha] = terms[alpha] + c if alpha in terms else c
+    return _poly(node.arity, terms)
 
 
 def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
@@ -148,11 +137,12 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     return _expand(fold(flat, {
         Const: lambda value: _poly(n, {zero: value}),
         Var: lambda i: SparsePoly(n, {zero[:i] + (1,) + zero[i + 1 :]: _ONE}),
-        Add: _Sum,
-        Sub: lambda a, b: _Sum(a, -_expand(b)),
+        Add: lambda a, b: (a, b),
+        Sub: lambda a, b: (a, -_expand(b)),
         Mul: lambda a, b: _expand(a) * _expand(b),
         Neg: lambda a: -_expand(a),
         Pow: lambda a, exponent: _expand(a) ** exponent,
+        _BIND: _expand,
     }))
 
 

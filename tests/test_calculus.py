@@ -152,15 +152,14 @@ def test_taylor_sum_reconstructs_the_jet():
         assert taylor_sum(table, shape) == jet_evaluate(f, x, shape)
 
 
-def test_taylor_sum_of_the_seven_variable_simplex_is_one_pass():
+def test_taylor_sum_of_the_seven_variable_simplex_is_one_pass(within):
     # 3,432 entries; one monomial, product and sum per entry took 2.5 s.
     f = parse("1/(1+x0*x1*x2*x3*x4*x5*x6)")
     x, k = (1,) * 7, (1,) * 7
     shape = Shape.simplex(7, 7)
     table = taylor_simplex(f, x, k)
-    start = time.perf_counter()
-    rebuilt = taylor_sum(table, shape)
-    assert time.perf_counter() - start < 1.0
+    with within(1.0):
+        rebuilt = taylor_sum(table, shape)
     assert rebuilt == jet_evaluate(f, x, shape)
 
 
