@@ -31,7 +31,7 @@ from fractions import Fraction
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
-from .value import Value
+from .value import Value, setfields
 from .weil import COEFF_BIT_BUDGET, rational_to_json
 
 EXIT_OK = 0
@@ -48,6 +48,16 @@ class UsageError(WeiljetError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def _get_values(self, action, arg_strings):
+        # Before Python 3.13 argparse drops the "--" of a flag given as
+        # "--seed=--" and hands the handler [], unconverted and unchecked;
+        # like 3.13, take "--" as the flag's value.
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -56,11 +66,9 @@ class _Parser(argparse.ArgumentParser):
 
 class RunReport(Value):
     __slots__ = __match_args__ = ("command", "inputs", "result", "seed", "ok", "table_lines")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, command: str, inputs: dict, result: dict, seed: int, ok: bool = True, table_lines=None):
-        self.command, self.inputs, self.result, self.seed, self.ok = command, inputs, result, seed, ok
-        self.table_lines = [] if table_lines is None else table_lines
+        setfields(self, command, inputs, result, seed, ok, [] if table_lines is None else table_lines)
 
     def to_json(self) -> dict:
         return {

@@ -26,9 +26,10 @@ once, since the parser recurses per parenthesis. Trees of any height
 evaluate, since ``_evaluate`` walks left operands in a loop; every other
 walk (comparing, hashing, printing, pickling, ``variables``, ``substitute``,
 JSON and ``oracle.to_poly``) goes through ``walk`` and ``fold``, which keep
-an explicit stack. The tokenizer is one ``findall`` giving a (whitespace,
-text) pair per token, and the parser dispatches on the text; a position is
-worked out only for a ParseError.
+an explicit stack. A power of an ``int`` or ``Fraction`` value checks
+``COEFF_BIT_BUDGET`` first, as a jet's does. The tokenizer is one
+``findall`` giving a (whitespace, text) pair per token, and the parser
+dispatches on the text; a position is worked out only for a ParseError.
 
 ``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
 whose printed form stays within those two limits: the printer brackets
@@ -45,8 +46,9 @@ import operator
 import re
 from fractions import Fraction
 from itertools import chain
+from math import ldexp, log2
 
-from .errors import BudgetError, WeiljetError, int_digit_limit
+from .errors import COEFF_BIT_BUDGET, BudgetError, WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
 from .value import Value, setfield
 
@@ -522,6 +524,19 @@ def evaluate(e: Expr, args, lift=None):
     raise ArityMismatchError(f"expression has arity {arity(e)} but got {len(args)} arguments")
 
 
+def _power(base, exponent: int):
+    """base ** exponent, refused with BudgetError where square-and-multiply
+    over jets would be: its last square is of base^m, m = 2^(bits of the
+    exponent - 2), whose numerator or denominator takes about m * log2 of
+    base's. Only exact rationals are checked; floats overflow instead, and
+    jets check themselves."""
+    if exponent > 1 and isinstance(base, (int, Fraction)):
+        top = max(abs(base.numerator), base.denominator)
+        if log2(top) > ldexp(COEFF_BIT_BUDGET, 2 - exponent.bit_length()):
+            raise BudgetError(f"a power would square a rational of over {COEFF_BIT_BUDGET} bits, the budget")
+    return base ** exponent
+
+
 class _Failure(Exception):
     # A failed division and its path's steps, last first, added as it leaves each ``_evaluate``.
     def __init__(self, node: Expr):
@@ -543,7 +558,7 @@ def _evaluate(e: Expr, args, lift):
         if isinstance(e, Neg):
             value = -_evaluate(e.operand, args, lift)
         elif isinstance(e, Pow):
-            value = _evaluate(e.base, args, lift) ** e.exponent
+            value = _power(_evaluate(e.base, args, lift), e.exponent)
         elif isinstance(e, Compose):
             inner_args = [None] * len(e.substitutions)
             for j in e._used:

@@ -83,7 +83,7 @@ class Layout:
         columns = [[p // s % r for p in ps] for s, r in self._radix]
         return list(zip(*columns)) if columns else [()] * len(ps)
 
-    def position_sets(self):
+    def position_sets(self, shared: bool = False):
         """A fresh memoised ``positions(limits, room)``: the ascending
         positions of {beta <= limits, |beta| <= room}, limits a prefix of the
         orders. Each is the union over the last coordinate's value b of a
@@ -91,8 +91,15 @@ class Layout:
         box above a cap is never visited. A set in one coordinate, whose
         stride is 1, is a ``range``, so a univariate plan holds no lists. The
         memo dies with the function.
+
+        With ``shared`` every set takes each position's int from one list of
+        the whole layout, built for this call: a box plan holds a position in
+        many sets, and (60, 60)'s then holds 3,721 ints, not 3,085,325. A
+        capped layout's box can be far larger than its live slots, so its
+        sets compute their ints.
         """
         strides, memo = self.strides, {}
+        ints = list(range(self.size)) if shared else None
 
         def positions(limits: MultiIndex, room: int) -> list:
             room = min(room, sum(limits))
@@ -105,7 +112,11 @@ class Layout:
                     out = range(min(limits[0], room) + 1)
                 else:
                     s, head = strides[len(limits) - 1], limits[:-1]
-                    out = [q + b * s for b in range(min(limits[-1], room) + 1) for q in positions(head, room - b)]
+                    bs = range(min(limits[-1], room) + 1)
+                    if ints is None:
+                        out = [q + b * s for b in bs for q in positions(head, room - b)]
+                    else:
+                        out = [ints[q + b * s] for b in bs for q in positions(head, room - b)]
                 memo[key] = out
             return out
 

@@ -4,9 +4,9 @@ Two deliberately different routes to a derivative live here:
 
 * a symbolic one, expanding division-free expressions into canonical sparse
   polynomials and differentiating termwise by the power rule. ``oracle_mixed``
-  expands each expression once and reads every derivative off that
-  expansion, the iterated power rule in closed form (a falling factorial
-  per coordinate);
+  reads a derivative off an expansion, the iterated power rule in closed
+  form (a falling factorial per coordinate), and keeps nothing between
+  calls;
 * a numerical one, binary64 central finite differences, second-order
   accurate in the step.
 
@@ -146,20 +146,6 @@ def to_poly(e: Expr, target_arity: int | None = None) -> SparsePoly:
     }))
 
 
-_last: list = [None, None]  # the expression _expansion expanded last, and its expansion
-
-
-def _expansion(e: Expr, expand=to_poly) -> SparsePoly:
-    """``e`` expanded in its own arity, for ``oracle_mixed`` only: the result is
-    shared between calls, so it must never reach a caller. The last expression
-    object is kept and matched by identity, so a repeated call neither walks
-    nor hashes the tree; ``expand`` is bound here, so these expansions do not
-    count as calls of ``to_poly``."""
-    if _last[0] is not e:
-        _last[:] = e, expand(e)
-    return _last[1]
-
-
 def poly_partial(p: SparsePoly, i: int) -> SparsePoly:
     """Termwise power rule in variable i: coefficient alpha_i at alpha - e_i."""
     if not 0 <= i < p.arity:
@@ -187,19 +173,21 @@ def poly_eval(p: SparsePoly, x) -> Fraction:
     return total
 
 
-def oracle_mixed(e: Expr, alpha: MultiIndex, x) -> Fraction:
+def oracle_mixed(e: Expr | SparsePoly, alpha: MultiIndex, x) -> Fraction:
     """D^alpha e at x, read off the expansion of e in one pass.
 
-    The expansion p = sum c * d^a is built once per expression (the last
-    one is kept). Applying the power rule alpha_i times in each coordinate
-    sends c * d^a to c * prod_i perm(a_i, alpha_i) * x_i^(a_i - alpha_i) if
-    a >= alpha and to 0 otherwise; D^alpha e(x) is the sum of those. An alpha
-    entry past the arity of e differentiates a variable e does not use, so
-    it gives 0; x needs at least arity(e) coordinates.
+    e is an expression, expanded in its own arity on every call, or its
+    ``to_poly`` expansion p = sum c * d^a, which a caller reading several
+    derivatives of one expression builds once. Applying the power rule
+    alpha_i times in each coordinate sends c * d^a to
+    c * prod_i perm(a_i, alpha_i) * x_i^(a_i - alpha_i) if a >= alpha and to
+    0 otherwise; D^alpha e(x) is the sum of those. An alpha entry past the
+    arity of e differentiates a variable e does not use, so it gives 0; x
+    needs at least arity(e) coordinates.
     """
     alpha = as_multiindex(alpha)
     x = tuple(Fraction(v) for v in x)
-    p = _expansion(e)
+    p = e if e.__class__ is SparsePoly else to_poly(e)
     n = p.arity
     if len(x) < n:
         raise ValueError(f"need {n} coordinates, got {len(x)}")

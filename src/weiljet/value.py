@@ -32,8 +32,7 @@ class _Fields:
 class Value:
     """A frozen value: equal to one of its class with equal ``_values`` (its
     fields), hashed by them, printed as ``Kind(field=value, ...)`` and pickled
-    through its constructor. A mutable subclass puts back object's
-    ``__setattr__`` and ``__delattr__`` and sets ``__hash__`` to None."""
+    through its constructor."""
 
     __slots__ = ()
     __match_args__ = ()

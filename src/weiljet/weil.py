@@ -22,8 +22,8 @@ never an approximation. Slots follow the mixed-radix layout of
 shape only the live ones, through the layout's live-slot table, so
 ``Shape.simplex(n, N)`` holds C(N+n, n) slots, not (N+1)^n. The public views
 stay dense: ``Shape.size``/``index``/``box``, ``WeilElement(shape, coeffs)``,
-``coeffs`` and ``nums`` span the whole layout, zero above a cap, and a capped
-element builds the last two on first use. Powers are square-and-multiply.
+``coeffs`` and ``nums`` span the whole layout, zero above a cap, and are
+built on each read. Powers are square-and-multiply.
 
 On a box the product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from . import multiindex
-from .errors import BudgetError, WeiljetError
+from .errors import COEFF_BIT_BUDGET, BudgetError, WeiljetError
 from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
 from .value import Value, setfield
 
@@ -92,13 +92,6 @@ SLOT_BUDGET = 2**21
 # degree 9 (4,686,825). A box plan of 7.6 M pairs took 3.2 s and 430 MB
 # (Python 3.11, 2 vCPUs).
 PAIR_BUDGET = 2**23
-# Bits of the numerators and denominator ``**`` may square, and that a
-# division's numerators may reach once scaled by |b0|^(L+1). A 2^16-bit int
-# squares in 1.6 ms and takes a gcd in 5 ms; at 2^18 bits 14 ms and 92 ms, at
-# 2^20 130 ms and 1.3 s (Python 3.11, 2 vCPUs). ``x0^100000000`` at 10/3 is
-# refused after 0.23 s here, 0.69 s at 2^18. The CLI prints no int over the
-# interpreter's 4,300-digit cap (14,284 bits) anyway.
-COEFF_BIT_BUDGET = 2**16
 
 
 def _within_budget(shape: "Shape", count: int, budget: int, what: str) -> int:
@@ -205,7 +198,7 @@ def _mul_plan(orders: MultiIndex, degree: int | None = None):
     """
     Shape(orders, degree).plan_pairs()
     lay = layout(orders)
-    positions = lay.position_sets()
+    positions = lay.position_sets(shared=degree is None)
     cap = sum(orders) if degree is None else degree
     ps = positions(orders, cap)
     rows = [
@@ -228,7 +221,6 @@ def _raw(shape: Shape, nums: tuple, den: int) -> "WeilElement":
     out._shape = shape
     out._nums = nums
     out._den = den
-    out._coeffs = out._dense_nums = None
     return out
 
 
@@ -256,10 +248,10 @@ class WeilElement:
     compare values.
 
     ``WeilElement(shape, coeffs)`` takes one rational per dense slot, zero
-    above a cap; ``coeffs`` and ``nums`` give them back, built on first use.
+    above a cap; ``coeffs`` and ``nums`` give them back, built on each read.
     """
 
-    __slots__ = ("_shape", "_nums", "_den", "_coeffs", "_dense_nums")
+    __slots__ = ("_shape", "_nums", "_den")
 
     def __init__(self, shape: Shape, coeffs):
         coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
@@ -270,7 +262,7 @@ class WeilElement:
             live = [coeffs[p] for p in shape._positions()]
             if sum(map(bool, live)) < sum(map(bool, coeffs)):
                 raise CoefficientIndexError(f"shape {shape} has a nonzero coefficient above its cap")
-        self._shape, self._coeffs, self._dense_nums = shape, coeffs, None
+        self._shape = shape
         self._nums, self._den = _fraction_free(live)
 
     shape = property(lambda self: self._shape)
@@ -282,20 +274,16 @@ class WeilElement:
         shape = self._shape
         if shape.degree is None:
             return self._nums
-        if self._dense_nums is None:
-            out = [0] * _within_budget(shape, shape.size(), SLOT_BUDGET, "slots in a dense view")
-            for p, n in zip(shape._positions(), self._nums):
-                out[p] = n
-            self._dense_nums = tuple(out)
-        return self._dense_nums
+        out = [0] * _within_budget(shape, shape.size(), SLOT_BUDGET, "slots in a dense view")
+        for p, n in zip(shape._positions(), self._nums):
+            out[p] = n
+        return tuple(out)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Every slot as a reduced ``Fraction``, in the dense layout."""
-        if self._coeffs is None:
-            den = self._den
-            self._coeffs = tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, WeilElement):

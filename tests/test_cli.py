@@ -385,6 +385,31 @@ def test_a_bad_flag_value_is_one_usage_line(capsys, argv, message):
     assert run_cli(argv, capsys) == (64, "", f"weiljet: usage error: {message}\n")
 
 
+DASH_FLAGS = {
+    "taylor": {"--expr": "x0", "--at": "1", "--orders": "1", "--mode": "box", "--format": "table"},
+    "derive": {"--expr": "x0", "--at": "1", "--alpha": "1", "--format": "table"},
+    "check": {"--suite": "lemma-3.1.2", "--instances": "1", "--seed": "0", "--format": "json"},
+    "fd-check": {"--expr": "x0", "--at": "1", "--wrt": "0", "--h": "1e-4", "--rtol": "1e-6", "--format": "table"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in DASH_FLAGS.items() for flag in flags])
+def test_a_flag_given_dash_dash_takes_it_as_its_value(capsys, command, flag):
+    # Before Python 3.13 argparse dropped the "--" of "--seed=--" and gave the
+    # handler [], unconverted and unchecked: tracebacks, or "seed": [] at exit 0.
+    argv = [command] + [f"{name}={'--' if name == flag else value}" for name, value in DASH_FLAGS[command].items()]
+    try:
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
+    last = capsys.readouterr().err.splitlines()[-1]
+    if flag == "--expr":
+        assert (code, last) == (2, "weiljet: error: unexpected end of input at line 1, column 3 "
+                                   "(expected number or variable or '(' or '-')")
+    else:
+        assert code == 64 and last.startswith("weiljet") and "'--'" in last
+
+
 @pytest.mark.parametrize("at", ["1e9999999", "1e-9999999", "1E99999999"])
 def test_a_point_past_the_bit_budget_is_refused_at_once(capsys, at, within):
     # Fraction builds 10^exponent exactly: derive at 1e9999999 ran for 12.6 s

@@ -32,7 +32,7 @@ from weiljet.expression import (
     substitute,
     variables,
 )
-from weiljet.errors import int_digit_limit
+from weiljet.errors import BudgetError, int_digit_limit
 from weiljet.multiindex import ArityMismatchError
 from weiljet.oracle import to_poly
 from weiljet.weil import Shape, constant, generator, one
@@ -524,3 +524,19 @@ def test_expr_json_roundtrip_compose():
 def test_an_unknown_json_tag_is_refused():
     with pytest.raises(ValueError, match="unknown op tag 'sin'"):
         expr_from_json({"op": "neg", "args": [{"op": "sin", "args": []}]})
+
+
+def test_a_rational_power_checks_the_bit_budget_before_it_squares(within):
+    # The value squares at each of the 200 levels; it ran for minutes.
+    e = parse("x0+x0*(" * 200 + "x0" + ")^2" * 200)
+    with within(1.0), pytest.raises(BudgetError, match="over 65536 bits"):
+        evaluate(e, [Fraction(1, 2)])
+    # As over jets: x0^(2^17) at 2 last squares 2^(2^15), and x0^(2^18) would
+    # square 2^(2^16), 65,537 bits; a power that does not grow is not refused.
+    assert evaluate(parse("x0^131072"), [2]) == 2**131072
+    with pytest.raises(BudgetError):
+        evaluate(parse("x0^262144"), [Fraction(2)])
+    with pytest.raises(BudgetError):
+        evaluate(parse("x0^262144"), [Fraction(1, 2)])
+    assert evaluate(parse("x0^100000000 - (x1^100000000)^3"), [1, Fraction(-1)]) == 0
+    assert evaluate(parse("x0^3"), [2.5]) == 15.625

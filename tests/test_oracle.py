@@ -100,7 +100,7 @@ def _iterated_reference(e, alpha, x):
 )
 def test_oracle_mixed_matches_the_iterated_power_rule(e, alpha, x):
     # alpha may run past the arity (3 at most here) and past the degree.
-    assert oracle_mixed(e, alpha, x) == _iterated_reference(e, alpha, x)
+    assert oracle_mixed(to_poly(e), alpha, x) == oracle_mixed(e, alpha, x) == _iterated_reference(e, alpha, x)
 
 
 def test_oracle_mixed_interleaved_expressions_match_fresh_values():
@@ -185,13 +185,12 @@ def test_to_poly_walks_once_and_a_repeated_oracle_call_not_at_all(monkeypatch):
     f = parse("(x0 + x2)^3 * x1 - 2")
     assert to_poly(f, 4).arity == 4
     assert len(walks) == 1
-    assert oracle_mixed(f, (1, 1, 1), (1, 2, 3)) == 24  # 6 * (x0 + x2)
+    p = to_poly(f)
     assert len(walks) == 2
-    for alpha in ((0, 0, 0), (2, 0, 1), (0, 1)):
-        oracle_mixed(f, alpha, (1, 2, 3))
-    assert len(walks) == 2
-    oracle_mixed(parse("(x0 + x2)^3 * x1 - 2"), (1, 1, 1), (1, 2, 3))  # an equal tree, another object
-    assert len(walks) == 3
+    for alpha in ((1, 1, 1), (0, 0, 0), (2, 0, 1), (0, 1)):
+        assert oracle_mixed(p, alpha, (1, 2, 3)) == oracle_mixed(f, alpha, (1, 2, 3))
+    assert oracle_mixed(p, (1, 1, 1), (1, 2, 3)) == 24  # 6 * (x0 + x2)
+    assert len(walks) == 2 + 4  # each call on the tree expands it; none on p walks
 
 
 @given(division_free_exprs, division_free_exprs)

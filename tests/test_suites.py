@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from weiljet import oracle, suites
 from weiljet.calculus import (
     DerivTable,
     IdentityViolationError,
@@ -18,7 +19,7 @@ from weiljet.calculus import (
 )
 from weiljet.cli import main
 from weiljet.expression import Add, Const, Var, evaluate
-from weiljet.oracle import oracle_mixed
+from weiljet.oracle import oracle_mixed, to_poly
 from weiljet.suites import (
     SuiteConfig,
     UnknownSuiteError,
@@ -284,3 +285,17 @@ def test_lemma_4_1_5_falls_back_to_a_reciprocal_without_a_pole(monkeypatch):
     assert run_suite("lemma-4.1.5", SuiteConfig(instances=3, seed=0)).passed
     assert [p["f"] for p in reciprocals] == [Add(Var(0), Const(1 - p["x"])) for p in reciprocals]
     assert len(reciprocals) == 3
+
+
+@pytest.mark.parametrize("name", ["prop-4.2.2", "thm-4.2.3", "thm-5.2.1"])
+def test_a_suite_reading_several_derivatives_expands_each_expression_once(monkeypatch, name):
+    expanded = []
+
+    def counted(e, target_arity=None):
+        expanded.append(e)
+        return to_poly(e, target_arity)
+
+    for module in (oracle, suites):
+        monkeypatch.setattr(module, "to_poly", counted)
+    assert run_suite(name, SuiteConfig(instances=30, seed=3)).passed
+    assert len(expanded) == 30
