@@ -22,8 +22,9 @@ never an approximation. Slots follow the mixed-radix layout of
 shape only the live ones, through the layout's live-slot table, so
 ``Shape.simplex(n, N)`` holds C(N+n, n) slots, not (N+1)^n. The public views
 stay dense: ``Shape.size``/``index``/``box``, ``WeilElement(shape, coeffs)``,
-``coeffs`` and ``nums`` span the whole layout, zero above a cap, and are
-built on each read. Powers are square-and-multiply.
+``coeffs`` and ``nums`` span the whole layout, zero above a cap; ``coeffs``,
+and a capped element's ``nums``, are built on each read. Powers are
+square-and-multiply.
 
 On a box the product of slots p and q lands in slot p + q, since mixed-radix
 positions add while alpha + beta stays in the box, so a shape's plan lists
@@ -248,7 +249,8 @@ class WeilElement:
     compare values.
 
     ``WeilElement(shape, coeffs)`` takes one rational per dense slot, zero
-    above a cap; ``coeffs`` and ``nums`` give them back, built on each read.
+    above a cap; ``coeffs`` and ``nums`` give them back, ``nums`` of a box
+    as stored and the rest built on each read.
     """
 
     __slots__ = ("_shape", "_nums", "_den")
