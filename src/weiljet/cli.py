@@ -10,11 +10,17 @@ Subcommands::
 Exit codes: 0 on success, 2 on parse/evaluation/numeric failure (including a
 failing suite or tolerance, and standard output closed before all of it was
 written), 64 on usage errors (including ``check --instances`` over
-``MAX_INSTANCES`` and a ``--at`` rational that could need more than
-``weil.COEFF_BIT_BUDGET`` bits). ``--format json`` output is deterministic given
-(command, inputs, seed); the seed defaults to the WEILJET_SEED environment
-variable, then 0. Rationals print as ``p/q`` (bare ``p`` for integers) in
-tables and as decimal-string numerator/denominator pairs in JSON. ``check`` imports the suites (and with them the oracle) and
+``MAX_INSTANCES``, a ``--at`` rational that could need more than
+``weil.COEFF_BIT_BUDGET`` bits, a ``--at`` point shorter than the
+expression's variables and an invalid WEILJET_SEED). A word that begins with
+one "-" is an option only if it begins one (``-h``), so ``--at -1/2`` reads
+as ``--at=-1/2``. ``--format json`` output is deterministic given (command,
+inputs, seed); the seed defaults to the WEILJET_SEED environment variable,
+then 0, and ``main`` reads it before the subcommand runs. Each subcommand
+returns its inputs, result, table lines and verdict, and ``main`` alone
+forms the JSON report from them. Rationals print as ``p/q`` (bare ``p`` for
+integers) in tables and as decimal-string numerator/denominator pairs in
+JSON. ``check`` imports the suites (and with them the oracle) and
 ``fd-check`` the oracle when they run, so ``taylor`` and ``derive`` start
 without either.
 """
@@ -31,7 +37,6 @@ from fractions import Fraction
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
 from .errors import WeiljetError, int_digit_limit
 from .expression import arity, parse
-from .value import Value, setfields
 from .weil import COEFF_BIT_BUDGET, rational_to_json
 
 EXIT_OK = 0
@@ -58,25 +63,18 @@ class _Parser(argparse.ArgumentParser):
             return value
         return super()._get_values(action, arg_strings)
 
+    def _parse_optional(self, arg_string):
+        # argparse takes a word with one leading "-" for an option unless it
+        # is a plain negative number ("-1"); take any such word that begins
+        # no option ("-1/2", "-x0^2", "-1,2") for a value, as "--at=-1/2" is.
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string[:2] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-class RunReport(Value):
-    __slots__ = __match_args__ = ("command", "inputs", "result", "seed", "ok", "table_lines")
-
-    def __init__(self, command: str, inputs: dict, result: dict, seed: int, ok: bool = True, table_lines=None):
-        setfields(self, command, inputs, result, seed, ok, [] if table_lines is None else table_lines)
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "result": self.result,
-        }
 
 
 def _parse_list(text: str, flag: str, convert) -> tuple:
@@ -138,16 +136,25 @@ def _default_seed(value) -> int:
     return 0
 
 
-def _cmd_taylor(args) -> RunReport:
+def _read_point(args, convert) -> tuple:
+    """The parsed ``--expr`` and its ``--at`` point, each coordinate through
+    ``convert``, refused unless the point covers the expression's variables."""
     expr = parse(args.expr)
-    at = _parse_list(args.at, "--at", _rational)
+    at = _parse_list(args.at, "--at", convert)
+    if len(at) < arity(expr):
+        raise UsageError(f"expression needs {arity(expr)} coordinates, got {len(at)}")
+    return expr, at
+
+
+# Each handler returns the report's inputs and result, its table lines and
+# whether it passed; main adds the command and the seed.
+def _cmd_taylor(args) -> tuple:
+    expr, at = _read_point(args, _rational)
     orders = _parse_list(args.orders, "--orders", _natural)
     if len(at) != len(orders):
         raise UsageError(
             f"--at has {len(at)} coordinates but --orders has {len(orders)}"
         )
-    if len(at) < arity(expr):
-        raise UsageError(f"expression needs {arity(expr)} coordinates, got {len(at)}")
     table = (taylor_box if args.mode == "box" else taylor_simplex)(expr, at, orders)
     lines = [
         f"mode: {table.mode}",
@@ -157,37 +164,23 @@ def _cmd_taylor(args) -> RunReport:
     for alpha in table.enumeration():
         key = "(" + ",".join(str(a) for a in alpha) + ")"
         lines.append(f"{key}  {table.entries[alpha]}")
-    return RunReport(
-        command="taylor",
-        inputs={"expr": args.expr, "at": args.at, "orders": args.orders, "mode": args.mode},
-        result=derivtable_to_json(table),
-        seed=_default_seed(None),
-        table_lines=lines,
-    )
+    inputs = {"expr": args.expr, "at": args.at, "orders": args.orders, "mode": args.mode}
+    return inputs, derivtable_to_json(table), lines, True
 
 
-def _cmd_derive(args) -> RunReport:
-    expr = parse(args.expr)
-    at = _parse_list(args.at, "--at", _rational)
+def _cmd_derive(args) -> tuple:
+    expr, at = _read_point(args, _rational)
     alpha = _parse_list(args.alpha, "--alpha", _natural)
     if len(alpha) > len(at):
         raise UsageError(f"--alpha has {len(alpha)} entries but --at only {len(at)}")
-    if len(at) < arity(expr):
-        raise UsageError(f"expression needs {arity(expr)} coordinates, got {len(at)}")
     value = mixed_derivative(expr, alpha, at)
-    return RunReport(
-        command="derive",
-        inputs={"expr": args.expr, "at": args.at, "alpha": args.alpha},
-        result={"value": rational_to_json(value)},
-        seed=_default_seed(None),
-        table_lines=[str(value)],
-    )
+    inputs = {"expr": args.expr, "at": args.at, "alpha": args.alpha}
+    return inputs, {"value": rational_to_json(value)}, [str(value)], True
 
 
-def _cmd_check(args) -> RunReport:
+def _cmd_check(args) -> tuple:
     from .suites import SuiteConfig, run_suites, suite_names
 
-    seed = _default_seed(args.seed)
     if args.suite == "all":
         names = suite_names()
     elif args.suite in suite_names():
@@ -200,7 +193,7 @@ def _cmd_check(args) -> RunReport:
         raise UsageError(f"--instances must be a natural number, got {args.instances}")
     if args.instances > MAX_INSTANCES:
         raise UsageError(f"--instances must be at most {MAX_INSTANCES}, got {args.instances}")
-    config = SuiteConfig(instances=args.instances, seed=seed)
+    config = SuiteConfig(instances=args.instances, seed=args.seed)
     results = run_suites(names, config)
     all_passed = all(r.passed for r in results)
     lines = []
@@ -211,25 +204,18 @@ def _cmd_check(args) -> RunReport:
         if r.first_counterexample:
             lines.append(f"  counterexample: {r.first_counterexample}")
     lines.append(f"overall: {'pass' if all_passed else 'FAIL'}")
-    return RunReport(
-        command="check",
-        inputs={"suite": args.suite, "instances": args.instances},
-        result={"suites": [r.to_json() for r in results], "all_passed": all_passed},
-        seed=seed,
-        ok=all_passed,
-        table_lines=lines,
-    )
+    result = {"suites": [r.to_json() for r in results], "all_passed": all_passed}
+    return {"suite": args.suite, "instances": args.instances}, result, lines, all_passed
 
 
-def _cmd_fd_check(args) -> RunReport:
+def _cmd_fd_check(args) -> tuple:
     from .oracle import finite_difference
 
     if not (math.isfinite(args.h) and args.h > 0):
         raise UsageError(f"--h must be a positive finite step, got {args.h!r}")
     if not (math.isfinite(args.rtol) and args.rtol >= 0):
         raise UsageError(f"--rtol must be a nonnegative finite tolerance, got {args.rtol!r}")
-    expr = parse(args.expr)
-    at = _parse_list(args.at, "--at", _finite_float)
+    expr, at = _read_point(args, _finite_float)
     if not 0 <= args.wrt < len(at):
         raise UsageError(f"--wrt {args.wrt} out of range for point of length {len(at)}")
     exact = partial_derivative(expr, args.wrt, tuple(Fraction(v) for v in at))
@@ -255,21 +241,16 @@ def _cmd_fd_check(args) -> RunReport:
         f"relative gap: {rel_gap!r}",
         f"within rtol {args.rtol!r}: {'yes' if ok else 'NO'}",
     ]
-    return RunReport(
-        command="fd-check",
-        inputs={"expr": args.expr, "at": args.at, "wrt": args.wrt, "h": args.h, "rtol": args.rtol},
-        result={
-            "exact": rational_to_json(exact),
-            "exact_float": exact_float,
-            "finite_difference": fd,
-            "absolute_gap": abs_gap,
-            "relative_gap": rel_gap,
-            "within_tolerance": ok,
-        },
-        seed=_default_seed(None),
-        ok=ok,
-        table_lines=lines,
-    )
+    inputs = {"expr": args.expr, "at": args.at, "wrt": args.wrt, "h": args.h, "rtol": args.rtol}
+    result = {
+        "exact": rational_to_json(exact),
+        "exact_float": exact_float,
+        "finite_difference": fd,
+        "absolute_gap": abs_gap,
+        "relative_gap": rel_gap,
+        "within_tolerance": ok,
+    }
+    return inputs, result, lines, ok
 
 
 def build_parser() -> _Parser:
@@ -290,7 +271,7 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="run identity suites")
     check.add_argument("--suite", default="all", help="suite name or 'all'")
     check.add_argument("--instances", type=int, default=200)
-    check.add_argument("--seed", type=int, default=None, help="defaults to WEILJET_SEED, then 0")
+    check.add_argument("--seed", type=int, help="defaults to WEILJET_SEED, then 0")
 
     fd = sub.add_parser("fd-check", help="compare against central finite differences")
     fd.add_argument("--expr", required=True)
@@ -301,7 +282,7 @@ def build_parser() -> _Parser:
 
     for command, handler in ((taylor, _cmd_taylor), (derive, _cmd_derive), (check, _cmd_check), (fd, _cmd_fd_check)):
         command.add_argument("--format", choices=("table", "json"), default="table")
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, seed=None)
     return parser
 
 
@@ -309,7 +290,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        args.seed = _default_seed(args.seed)
+        inputs, result, lines, ok = args.handler(args)
     except UsageError as exc:
         print(f"weiljet: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -329,9 +311,10 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     try:
         if args.format == "json":
-            print(json.dumps(report.to_json(), indent=2, allow_nan=False))
+            report = {"command": args.command, "inputs": inputs, "seed": args.seed, "result": result}
+            print(json.dumps(report, indent=2, allow_nan=False))
         else:
-            for line in report.table_lines:
+            for line in lines:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
@@ -342,7 +325,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         print("weiljet: error: standard output was closed before all output was written", file=sys.stderr)
         return EXIT_FAILURE
-    return EXIT_OK if report.ok else EXIT_FAILURE
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 if __name__ == "__main__":

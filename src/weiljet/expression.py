@@ -22,14 +22,19 @@ literal ("1/2" is the constant one half); any other slash is division
 rationals. ``^`` is non-associative ("x0^2^3" is a syntax error) and its
 exponent must be a bare natural literal. A source may hold ``MAX_SOURCE``
 characters and open ``MAX_NESTING`` parentheses and unary minus signs at
-once, since the parser recurses per parenthesis. Trees of any height
-evaluate, since ``_evaluate`` walks left operands in a loop; every other
+once, since the parser recurses per parenthesis. ``evaluate`` walks left
+operands in a loop and recurses one frame per right operand, negation,
+power or composition nested in another, so it takes trees of any height
+whose such nesting stays under the interpreter's recursion limit (up to
+about 990 levels at the default limit of 1,000); a deeper tree is a
+BudgetError. ``MAX_NESTING`` keeps parsed input far below that. Every other
 walk (comparing, hashing, printing, pickling, ``variables``, ``substitute``,
 JSON and ``oracle.to_poly``) goes through ``walk`` and ``fold``, which keep
-an explicit stack. A power of an ``int`` or ``Fraction`` value checks
-``COEFF_BIT_BUDGET`` first, as a jet's does. The tokenizer is one
-``findall`` giving a (whitespace, text) pair per token, and the parser
-dispatches on the text; a position is worked out only for a ParseError.
+an explicit stack, so they take any tree. A power of an ``int`` or
+``Fraction`` value checks ``COEFF_BIT_BUDGET`` first, as a jet's does. The
+tokenizer is one ``findall`` giving a (whitespace, text) pair per token, and
+the parser dispatches on the text; a position is worked out only for a
+ParseError.
 
 ``parse(pretty_print(e)) == e`` for every AST reachable from the grammar
 whose printed form stays within those two limits: the printer brackets
@@ -501,7 +506,8 @@ def _identity_lift(c: Fraction) -> Fraction:
 
 def evaluate(e: Expr, args, lift=None):
     """Evaluate over the carrier of ``args``, at any tree height: recursion
-    follows only right operands and the operands of other nodes.
+    follows only right operands and the operands of other nodes, and nesting
+    those past the interpreter's recursion limit raises BudgetError.
 
     ``lift`` embeds a Fraction constant into the carrier (identity by
     default; pass ``float`` for binary64, or a jet-constant embedding for
@@ -518,6 +524,9 @@ def evaluate(e: Expr, args, lift=None):
         return _evaluate(e, args, lift or _identity_lift)
     except _Failure as failure:
         raise EvaluationError("division by a non-invertible value", tuple(failure.steps[::-1]), failure.node) from None
+    except RecursionError:
+        raise BudgetError("expression too deep to evaluate: its right operands, negations, powers "
+                          "and compositions nest past the interpreter's recursion limit") from None
     except IndexError:
         if len(args) >= arity(e):
             raise

@@ -422,13 +422,16 @@ class WeilElement:
     def invert(self, numerator: "WeilElement | None" = None) -> "WeilElement":
         """The y with self * y == numerator (one by default), for self with a
         nonzero constant term b0: ``a / b`` is ``b.invert(a)``. Over
-        numerators, Z = A * |b0|^(L+1) / B is integral (1/B has no
-        denominator above b0^(L+1), L the nilpotency bound). In layout order
-        each Z[q] is its accumulator over b0, exactly; Z[q] * B[p] then
-        leaves the later slot of their product. y is Z * b.den over |b0|^(L+1) * a.den.
-        A constant b = b0 / b.den skips the solve: y is a * b.den / b0. If
-        (L+1) * bits(b0) + bits(a), the most bits A * |b0|^(L+1) may take, is
-        over ``COEFF_BIT_BUDGET``, ``CoefficientBudgetError`` is raised first."""
+        numerators, Z = A * |b0|^(m+1) / B is integral (1/B has no
+        denominator above b0^(m+1), as (B - b0)^(m+1) = 0 for m = L // r, L
+        the nilpotency bound, r the least total degree of B's nonzero
+        non-constant slots). In layout order each Z[q] is its accumulator
+        over b0, exactly; Z[q] * B[p] then leaves the later slot of their
+        product. y is Z * b.den over |b0|^(m+1) * a.den. A constant b = b0 /
+        b.den skips the solve: y is a * b.den / b0. m is L, unless (L+1) *
+        bits(b0) + bits(a), the most bits A * |b0|^(L+1) may take, is over
+        ``COEFF_BIT_BUDGET``: only then is r read. If (m+1) * bits(b0) +
+        bits(a) is over it still, ``CoefficientBudgetError`` is raised first."""
         a = one(self._shape) if numerator is None else numerator
         a._require_same_shape(self)
         shape = a._shape
@@ -440,6 +443,10 @@ class WeilElement:
             return _reduced(shape, tuple(map(factor.__mul__, a._nums)), a._den * abs(b0))
         power = shape.nilpotency_bound() + 1
         bits = power * b0.bit_length() + a._bits()
+        if bits > COEFF_BIT_BUDGET:
+            r = min(sum(alpha) for alpha, n in zip(shape.monomials()[1:], self._nums[1:]) if n)
+            power = (power - 1) // r + 1
+            bits = power * b0.bit_length() + a._bits()
         if bits > COEFF_BIT_BUDGET:
             raise CoefficientBudgetError(f"a division would scale to {bits}-bit coefficients, over the budget of {COEFF_BIT_BUDGET} bits")
         scale = abs(b0) ** power

@@ -32,7 +32,11 @@ orders: (2,1)
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    """main's exit code, stdout and stderr, argparse's own exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit:
+        code = exit.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -378,8 +382,9 @@ def test_a_value_error_other_than_the_digit_cap_propagates(capsys, monkeypatch):
         (["taylor", "--expr", "x0*x1", "--at", "1", "--orders", "1"], "expression needs 2 coordinates, got 1"),
         (["fd-check", "--expr", "x0", "--at", "one", "--wrt", "0"], "--at: 'one' is not a float"),
         (["fd-check", "--expr", "x0", "--at", "1", "--wrt", "1"], "--wrt 1 out of range for point of length 1"),
+        (["fd-check", "--expr", "x0*x1", "--at", "1", "--wrt", "0"], "expression needs 2 coordinates, got 1"),
     ],
-    ids=["derive-at", "derive-alpha", "derive-arity", "taylor-arity", "fd-check-at", "fd-check-wrt"],
+    ids=["derive-at", "derive-alpha", "derive-arity", "taylor-arity", "fd-check-at", "fd-check-wrt", "fd-check-arity"],
 )
 def test_a_bad_flag_value_is_one_usage_line(capsys, argv, message):
     assert run_cli(argv, capsys) == (64, "", f"weiljet: usage error: {message}\n")
@@ -398,16 +403,77 @@ def test_a_flag_given_dash_dash_takes_it_as_its_value(capsys, command, flag):
     # Before Python 3.13 argparse dropped the "--" of "--seed=--" and gave the
     # handler [], unconverted and unchecked: tracebacks, or "seed": [] at exit 0.
     argv = [command] + [f"{name}={'--' if name == flag else value}" for name, value in DASH_FLAGS[command].items()]
-    try:
-        code = main(argv)
-    except SystemExit as exit:
-        code = exit.code
-    last = capsys.readouterr().err.splitlines()[-1]
+    code, _, err = run_cli(argv, capsys)
+    last = err.splitlines()[-1]
     if flag == "--expr":
         assert (code, last) == (2, "weiljet: error: unexpected end of input at line 1, column 3 "
                                    "(expected number or variable or '(' or '-')")
     else:
         assert code == 64 and last.startswith("weiljet") and "'--'" in last
+
+
+# A value for each flag that begins with one "-" and is no plain negative
+# number, which argparse alone would take for an unknown option.
+DASH_LED = {"--expr": "-x0^2", "--at": "-1/2", "--orders": "-1,2", "--alpha": "-1,0", "--mode": "-box",
+            "--format": "-json", "--suite": "-all", "--instances": "-1e3", "--seed": "-7/2", "--wrt": "-0x1",
+            "--h": "-1e-4", "--rtol": "-1e-6"}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in DASH_FLAGS.items() for flag in flags])
+def test_a_dash_led_value_reads_as_its_equals_form(capsys, command, flag):
+    flags = {**DASH_FLAGS[command], flag: DASH_LED[flag]}
+    spaced = run_cli([command] + [word for pair in flags.items() for word in pair], capsys)
+    assert spaced == run_cli([command] + [f"{name}={value}" for name, value in flags.items()], capsys)
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["derive", "--expr", "-x0^2", "--at", "-1/2", "--alpha", "1"], "1\n"),
+        (["taylor", "--expr", "x0*x1", "--at", "-1,2", "--orders", "1,0"],
+         "mode: box\narity: 2\norders: (1,0)\n(0,0)  -2\n(1,0)  2\n"),
+        (["fd-check", "--expr", "-x0", "--at", "-5e-1", "--wrt", "0", "--format", "json"], None),
+    ],
+    ids=["derive", "taylor", "fd-check"],
+)
+def test_dash_led_values_run(capsys, argv, out):
+    code, printed, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    if out is None:
+        assert json.loads(printed)["result"]["exact"] == {"num": "-1", "den": "1"}
+    else:
+        assert printed == out
+
+
+def test_only_a_word_that_begins_an_option_is_taken_for_one(capsys):
+    parser = cli._Parser(prog="weiljet")
+    for word in ("-h", "-hx", "--help", "--expr", "--expr=-x0", "--nope"):
+        assert parser._parse_optional(word) is not None
+    for word in ("-1/2", "-x0^2", "-1,2", "-1", "-", "x0", ""):
+        assert parser._parse_optional(word) is None
+    code, out, _ = run_cli(["derive", "-h"], capsys)
+    assert code == 0 and out.startswith("usage: weiljet derive")
+
+
+@pytest.mark.parametrize("command", DASH_FLAGS)
+def test_a_bad_seed_in_the_environment_is_refused_before_any_work(capsys, monkeypatch, command):
+    # main reads the seed before it calls the handler, which here fails the
+    # test if it runs: taylor, derive and fd-check read it only after computing.
+    monkeypatch.setenv("WEILJET_SEED", " x7 ")
+    monkeypatch.setattr(cli, f"_cmd_{command.replace('-', '_')}", lambda args: pytest.fail("the handler ran"))
+    argv = [command] + [word for pair in DASH_FLAGS[command].items() for word in pair if pair[0] != "--seed"]
+    assert run_cli(argv, capsys) == (64, "", "weiljet: usage error: WEILJET_SEED='x7' is not a natural number\n")
+
+
+@pytest.mark.parametrize("name", ["taylor_box.json", "taylor_simplex.json", "fd_check.json"])
+def test_main_forms_the_golden_json_report_in_process(capsys, monkeypatch, name):
+    monkeypatch.delenv("WEILJET_SEED", raising=False)
+    assert run_cli(GOLDEN_CASES[name], capsys) == (0, (GOLDEN / name).read_text(encoding="utf-8"), "")
+    monkeypatch.setenv("WEILJET_SEED", "31")
+    report = json.loads(run_cli(GOLDEN_CASES[name], capsys)[1])
+    assert list(report) == ["command", "inputs", "seed", "result"] and report["seed"] == 31
+    assert report["command"] == GOLDEN_CASES[name][0]
 
 
 @pytest.mark.parametrize("at", ["1e9999999", "1e-9999999", "1E99999999"])
@@ -664,6 +730,17 @@ def test_a_huge_power_fails_at_the_bit_budget(capsys, within):
     assert len(err.strip().splitlines()) == 1 and "bit coefficients, over the budget" in err
     code, out, err = run_cli(["derive", "--expr", "x0^100000000", "--at", "1", "--alpha", "1"], capsys)
     assert (code, out, err) == (0, "100000000\n", "")
+
+
+def test_a_sparse_divisor_derives_within_the_bit_budget(capsys, within):
+    # N + x0^10 at 0 over order 100 scales by N^11, not N^101; with a
+    # 210-digit N the latter is 70,499 bits and was refused.
+    n = 10**210 - 1
+    with within(1.0):
+        result = run_cli(["derive", "--expr", f"1/({n}+x0^10)", "--at", "0", "--alpha", "100"], capsys)
+    assert result == (0, f"{Fraction(math.factorial(100), n**11)}\n", "")
+    code, out, err = run_cli(["derive", "--expr", "x0^30000/x0^29999", "--at", "10", "--alpha", "1"], capsys)
+    assert (code, out) == (2, "") and "scale to 298980-bit coefficients" in err
 
 
 def test_a_long_digit_quotient_fails_at_the_bit_budget(capsys, within):

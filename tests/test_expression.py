@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weiljet import expression
 from weiljet.expression import (
     MAX_NESTING,
     MAX_SOURCE,
@@ -34,7 +36,7 @@ from weiljet.expression import (
 )
 from weiljet.errors import BudgetError, int_digit_limit
 from weiljet.multiindex import ArityMismatchError
-from weiljet.oracle import to_poly
+from weiljet.oracle import poly_eval, to_poly
 from weiljet.weil import Shape, constant, generator, one
 
 # ASTs reachable from the grammar: nonnegative constants, no composition.
@@ -417,6 +419,49 @@ def test_evaluation_takes_any_height_down_left_operands():
     for _ in range(MAX_NESTING):
         value = x - x * value
     assert jet.constant_term() == evaluate(right, [x]) == value
+
+
+TOO_DEEP = "^expression too deep to evaluate: .* recursion limit$"
+_RIGHT_NESTED = {
+    "Mul": lambda e: Mul(Var(0), e),
+    "Sub": lambda e: Sub(Var(0), e),
+    "Neg": Neg,
+    "Pow": lambda e: Pow(e, 1),
+    "Compose": lambda e: Compose(Var(0), (e,)),
+}
+
+
+@pytest.mark.parametrize("nest", _RIGHT_NESTED.values(), ids=_RIGHT_NESTED)
+def test_evaluation_nested_past_the_recursion_limit_is_a_budget_error(nest, within):
+    # Each level is one frame of evaluation's recursion; 5,000 of them ended
+    # in a RecursionError. to_poly takes the same tree.
+    e = Var(0)
+    for _ in range(5000):
+        e = nest(e)
+    # A Python tracer (``sys.settrace``, as ``scripts/unexecuted.py`` runs the
+    # suite) meets the limit first and is dropped; put it back for the rest.
+    tracer = sys.gettrace()
+    try:
+        with within(1.0), pytest.raises(BudgetError, match=TOO_DEEP):
+            evaluate(e, [Fraction(-1)])
+    finally:
+        sys.settrace(tracer)
+    assert to_poly(e, 1).arity == 1
+    shallow = Var(0)
+    for _ in range(900):
+        shallow = nest(shallow)
+    assert evaluate(shallow, [Fraction(-1)]) == poly_eval(to_poly(shallow, 1), (Fraction(-1),))
+
+
+def test_the_depth_refusal_runs_on_any_recursion_error_of_the_walk(monkeypatch):
+    # Under a tracer the trees above drop it before the refusal runs, so the
+    # refusal is also run here on an overflow raised by the walk itself.
+    def overflow(e, args, lift):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(expression, "_evaluate", overflow)
+    with pytest.raises(BudgetError, match=TOO_DEEP):
+        evaluate(Var(0), [Fraction(1)])
 
 
 def test_printing_takes_time_linear_in_the_tree(within):

@@ -20,7 +20,6 @@ import pytest
 
 from weiljet import expression
 from weiljet.calculus import DerivTable, RuleVerdict
-from weiljet.cli import RunReport
 from weiljet.expression import MAX_SOURCE, Add, Compose, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, evaluate
 from weiljet.oracle import SparsePoly, oracle_mixed
 from weiljet.suites import SuiteConfig, SuiteResult
@@ -50,14 +49,12 @@ CLASSES = [
     (SuiteResult, {"name": REQUIRED, "instances": REQUIRED, "passes": REQUIRED, "first_counterexample": None},
      ("s", 4, 3, "x")),
     (SparsePoly, {"arity": REQUIRED, "terms": REQUIRED}, (1, {(1,): Fraction(2)})),
-    (RunReport, {**dict.fromkeys(("command", "inputs", "result", "seed"), REQUIRED), "ok": True, "table_lines": None},
-     ("derive", {"expr": "x0"}, {"value": "1"}, 0, False, ["1"])),
 ]
 IDS = [cls.__name__ for cls, *_ in CLASSES]
 # A new value for each class's last field, for ``dataclasses.replace``.
 CHANGES = {
     Const: Fraction(2), Var: 3, Add: A, Sub: A, Mul: A, Div: A, Neg: B, Pow: 4, Compose: (B, B), Shape: 3,
-    DerivTable: {}, RuleVerdict: 2, SuiteConfig: 4, SuiteResult: None, SparsePoly: {}, RunReport: [],
+    DerivTable: {}, RuleVerdict: 2, SuiteConfig: 4, SuiteResult: None, SparsePoly: {},
 }
 
 
@@ -127,8 +124,6 @@ def test_asdict_turns_nested_values_into_dicts():
 
 
 def test_value_defaults_are_fresh_and_normalised():
-    first, second = RunReport("c", {}, {}, 0), RunReport("c", {}, {}, 0)
-    assert first.table_lines == [] and first.table_lines is not second.table_lines and first.ok
     assert SuiteConfig() == SuiteConfig(200, 0)
     assert Shape((2, 2), 9) == Shape((2, 2)) and Shape((5,), 2).orders == (2,)
     assert Const(3).value == Fraction(3) and type(Const(3).value) is Fraction

@@ -749,3 +749,24 @@ def test_a_division_checks_its_scaled_size_before_it_scales(bits, ok):
             b.invert()
         with pytest.raises(CoefficientBudgetError):
             evaluate(parse(f"1/({2 ** (bits - 1)}+x0)"), [generator(shape, 0)], lift=lambda c: constant(shape, c))
+
+
+def test_a_sparse_divisor_scales_by_its_least_degree():
+    # (b - b0)^(m+1) = 0 for m = L // r, r the least degree of b's nonzero
+    # non-constant slots: N + d^10 over order 100 scales by N^11, not N^101,
+    # so a 698-bit N fits the budget (11 * 698 bits), where 101 * 698 does not.
+    shape, n = Shape((100,)), 10**210 - 1
+    b = constant(shape, n) + monomial(shape, (10,))
+    y = b.invert()
+    assert b * y == one(shape)
+    assert y.coefficient((100,)) == Fraction(1, n**11) and y.coefficient((99,)) == 0
+    with pytest.raises(CoefficientBudgetError, match="scale to 70499-bit coefficients"):
+        (b + generator(shape, 0)).invert()
+    # In two variables r is the least total degree present: 4, from d0^3 d1,
+    # so a 2,990-bit N over orders (12, 12) scales by N^7, not N^25.
+    shape, n = Shape((12, 12)), 10**900 - 1
+    b = constant(shape, n) + monomial(shape, (3, 1)) + monomial(shape, (0, 5))
+    a = generator(shape, 1) + constant(shape, 3)
+    assert b * b.invert(a) == a
+    with pytest.raises(CoefficientBudgetError, match="scale to 74752-bit coefficients"):
+        (b + generator(shape, 1)).invert(a)
