@@ -13,6 +13,8 @@ subprocess count for nothing, so a statement only they reach is listed.
 A statement counts as executed if any line it owns (its own lines, not
 those of the statements nested in it) raised a line event; statements that
 compile to no instruction (docstrings, ``try:``, ``else:``) are never listed.
+The tracer is installed again before each test, so a test that meets the
+recursion limit, where the interpreter drops it, blanks no later test.
 The exit status is pytest's.
 """
 
@@ -70,10 +72,15 @@ def main(argv: list[str]) -> int:
     def global_(frame, event, arg):
         return local if frame.f_code.co_filename in files else None
 
+    class Rearm:
+        @pytest.hookimpl(tryfirst=True)
+        def pytest_runtest_setup(self, item):
+            sys.settrace(global_)
+
     sys.path.insert(0, str(PACKAGE.parent))
     sys.settrace(global_)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])], plugins=[Rearm()])
     finally:
         sys.settrace(None)
     print("\nStatements of src/weiljet this process never executed (CLI tests run in a subprocess are not traced):")

@@ -131,7 +131,7 @@ def evaluate_perturbed(f: Expr, x, shape: Shape, seeds) -> WeilElement:
     """Evaluate f over ``shape`` at the point whose i-th coordinate is x[i]
     plus the generators d_t for t in seeds[i]; the rational constants of f
     embed as constant jets. A shape whose multiplication plan is over
-    ``weil.PAIR_BUDGET`` is refused first.
+    ``errors.PAIR_BUDGET`` is refused first.
     """
     shape.plan_pairs()
     args = [seeded(shape, xi, ts) for xi, ts in zip(x, seeds)]
@@ -256,7 +256,7 @@ def taylor_simplex(f: Expr, x, k) -> DerivTable:
     vanishing monomials on the neighborhood of orders k, so reporting them
     costs nothing in the expansion identity but makes the truncation of the
     full series inspectable. Its elements hold the C(|k|+n, n) live
-    monomials only; a request whose plan breaks ``weil.PAIR_BUDGET`` (10
+    monomials only; a request whose plan breaks ``errors.PAIR_BUDGET`` (10
     variables at orders all 1) raises ``CoefficientBudgetError`` first.
     """
     x, k = _point_and_orders(x, k)

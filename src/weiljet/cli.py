@@ -11,7 +11,7 @@ Exit codes: 0 on success, 2 on parse/evaluation/numeric failure (including a
 failing suite or tolerance, and standard output closed before all of it was
 written), 64 on usage errors (including ``check --instances`` over
 ``MAX_INSTANCES``, a ``--at`` rational that could need more than
-``weil.COEFF_BIT_BUDGET`` bits, a ``--at`` point shorter than the
+``COEFF_BIT_BUDGET`` bits, a ``--at`` point shorter than the
 expression's variables and an invalid WEILJET_SEED). A word that begins with
 one "-" is an option only if it begins one (``-h``), so ``--at -1/2`` reads
 as ``--at=-1/2``. ``--format json`` output is deterministic given (command,
@@ -35,17 +35,13 @@ import sys
 from fractions import Fraction
 
 from .calculus import derivtable_to_json, mixed_derivative, partial_derivative, taylor_box, taylor_simplex
-from .errors import WeiljetError, int_digit_limit
+from .errors import COEFF_BIT_BUDGET, MAX_INSTANCES, WeiljetError, int_digit_limit
 from .expression import arity, parse
-from .weil import COEFF_BIT_BUDGET, rational_to_json
+from .weil import rational_to_json
 
 EXIT_OK = 0
 EXIT_FAILURE = 2
 EXIT_USAGE = 64
-
-# The most instances ``check`` runs per suite: an instance of all 18 suites
-# takes about 4 ms, so the largest request ends in under a minute, not hours.
-MAX_INSTANCES = 10_000
 
 
 class UsageError(WeiljetError):

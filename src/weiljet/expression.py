@@ -53,7 +53,7 @@ from fractions import Fraction
 from itertools import chain
 from math import ldexp, log2
 
-from .errors import COEFF_BIT_BUDGET, BudgetError, WeiljetError, int_digit_limit
+from .errors import COEFF_BIT_BUDGET, MAX_NESTING, MAX_SOURCE, BudgetError, WeiljetError, int_digit_limit
 from .multiindex import ArityMismatchError
 from .value import Value, setfield
 
@@ -308,15 +308,6 @@ def arity(e: Expr) -> int:
 
 
 # -- Parser -------------------------------------------------------------------
-
-# How many parentheses and unary minus signs may be open at once: the parser
-# recurses four frames per parenthesis, so the deepest input takes about 800
-# of Python's default limit of 1000, and a deeper one is a ParseError.
-MAX_NESTING = 200
-
-# How many characters a source may hold: Linux's limit on one command-line
-# argument, so every ``--expr`` fits. A longer one is refused untokenized.
-MAX_SOURCE = 2**17
 
 # One (whitespace, text) pair per token, listed by one findall. Its search
 # skips any character no token may start with, so the pairs then fall short

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from . import multiindex
-from .errors import COEFF_BIT_BUDGET, BudgetError, WeiljetError
+from .errors import COEFF_BIT_BUDGET, PAIR_BUDGET, SLOT_BUDGET, BudgetError, WeiljetError
 from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
 from .value import Value, setfield
 
@@ -83,16 +83,6 @@ class CoefficientBudgetError(BudgetError):
     """A shape over ``SLOT_BUDGET`` slots or ``PAIR_BUDGET`` plan pairs, or a
     power whose next square, or a division whose scaled numerator, is over
     ``COEFF_BIT_BUDGET`` bits."""
-
-
-# Live monomials per element (16 MiB of pointers), and the dense slots of a
-# view: C(2n, n) in the simplex of n variables at degree n fits for n <= 11.
-SLOT_BUDGET = 2**21
-# Pairs in one multiplication plan, counted before it is built: 3^n on the
-# square-free box in n variables, so 14 fit, as does the simplex in 9 at
-# degree 9 (4,686,825). A box plan of 7.6 M pairs took 3.2 s and 430 MB
-# (Python 3.11, 2 vCPUs).
-PAIR_BUDGET = 2**23
 
 
 def _within_budget(shape: "Shape", count: int, budget: int, what: str) -> int:

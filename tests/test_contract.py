@@ -2,15 +2,18 @@
 
 The bench tracer counts nodes through ``dataclasses.fields`` and product
 pairs through the dense layout of ``WeilElement.coeffs``, JSON and ``repr``
-are read by users, and ``weiljet.__all__`` is the package's API.
+are read by users, ``weiljet.__all__`` is the package's API, and every size
+limit is assigned in ``weiljet.errors`` alone.
 """
 
+import ast
 import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import weiljet
+from weiljet import cli, errors, expression, weil
 from weiljet.expression import (
     Add,
     Compose,
@@ -28,6 +31,14 @@ from weiljet.expression import (
 from weiljet.weil import Shape, constant, element_to_json, generator
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+LIMITS = {
+    "SLOT_BUDGET": 2**21,
+    "PAIR_BUDGET": 2**23,
+    "COEFF_BIT_BUDGET": 2**16,
+    "MAX_SOURCE": 2**17,
+    "MAX_NESTING": 200,
+    "MAX_INSTANCES": 10_000,
+}
 
 A, B = Var(0), Const(Fraction(-3, 2))
 NODES = (
@@ -87,3 +98,22 @@ def test_a_capped_element_views_its_coefficients_in_the_dense_layout():
         else:
             assert a.coeffs[p] == a.coefficient(alpha) == Fraction(a.nums[p], a.den)
     assert sum(1 for c in a.coeffs if c) == len(element_to_json(a)["coeffs"]) == 10
+
+
+def test_every_size_limit_is_assigned_in_errors_alone():
+    assert {name: getattr(errors, name) for name in LIMITS} == LIMITS
+    checkers = {
+        weil: ("SLOT_BUDGET", "PAIR_BUDGET", "COEFF_BIT_BUDGET"),
+        expression: ("MAX_SOURCE", "MAX_NESTING", "COEFF_BIT_BUDGET"),
+        cli: ("MAX_INSTANCES", "COEFF_BIT_BUDGET"),
+    }
+    for module, names in checkers.items():
+        for name in names:
+            assert getattr(module, name) is getattr(errors, name), (module.__name__, name)
+    assigners = {
+        (path.name, node.id)
+        for path in Path(errors.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in LIMITS
+    }
+    assert assigners == {("errors.py", name) for name in LIMITS}
