@@ -11,7 +11,8 @@ lives in ``oracle`` precisely so the two paths stay independent.
 Every operator reads its values through one read-out: given the finished
 jet, a mode (the box {alpha <= k}, the simplex {|alpha| <= |k|}, or the
 single multi-index k) and the orders k, it returns alpha! times the d^alpha
-coefficient for each alpha of that index set.
+coefficient for each alpha of that index set, by a plan kept in
+``multiindex.TABLES`` under the mode, the orders and the shape's fields.
 
 ``iterated_partial`` realizes repeated first-order differentiation without
 ever forming the derivative as an expression: each application gets its own
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from . import multiindex
 from .errors import WeiljetError
@@ -74,7 +75,8 @@ class InstanceRejectedError(WeiljetError):
 
 # The multi-indices each read-out mode covers for orders k, in output order.
 # The enumerations are looked up when called, so a wrapper bound over them
-# after import (the bench tracer's) still sees every call.
+# after import (the bench tracer's) still sees every call, each a lookup in
+# ``multiindex.TABLES`` once its set is built.
 _INDEX_SETS = {
     "box": lambda k: enumerate_box(k),
     "simplex": lambda k: enumerate_simplex(len(k), multiindex.norm(k)),
@@ -221,13 +223,15 @@ def _point_and_orders(x, k):
     return x, k
 
 
-@lru_cache(maxsize=None)
 def _readout_plan(mode: str, orders: MultiIndex, shape: Shape) -> tuple:
     # (alpha, element slot in shape, alpha!) for every alpha of the mode's
     # index set, in its enumeration order; each is a live monomial of shape.
-    return tuple(
-        (alpha, shape._slot(shape.index(alpha)), multiindex.factorial(alpha)) for alpha in _INDEX_SETS[mode](orders)
-    )
+    # No closure over shape, whose cell a hit would make on every call.
+    if hit := multiindex.TABLES.get(key := ("readout", mode, orders, shape.orders, shape.degree)):
+        return hit[0]
+    alphas = _INDEX_SETS[mode](orders)
+    slots = map(shape._slot, map(shape.index, alphas))
+    return multiindex.keep(key, tuple(zip(alphas, slots, map(multiindex.factorial, alphas))))
 
 
 def _readout(jet: WeilElement, mode: str, orders: MultiIndex) -> dict:

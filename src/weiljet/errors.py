@@ -11,7 +11,9 @@ SLOT_BUDGET = 2**21
 # Pairs in one multiplication plan, counted before it is built: 3^n on the
 # square-free box in n variables, so 14 fit. Building the plan took 0.53 s
 # and +71 MB max RSS for ``(1,) * 14`` (4,782,969 pairs), 0.26 s and +29 MB
-# for ``(60, 60)``, and 0.54 s and +63 MB for ``Shape.simplex(9, 9)``.
+# for ``(60, 60)``, and 0.54 s and +63 MB for ``Shape.simplex(9, 9)``. With
+# SLOT_BUDGET it also bounds the ints of the tables a process keeps
+# (``multiindex.keep``).
 PAIR_BUDGET = 2**23
 # Bits of the numerators and denominator ``**`` may square, over jets or
 # rationals, and that a division's numerators may reach once scaled. A

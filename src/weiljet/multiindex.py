@@ -7,7 +7,9 @@ A multi-index is a plain tuple of naturals. ``Layout`` places the box
 {alpha <= k} at the mixed-radix positions ``idx(alpha) = sum_i alpha_i *
 prod_{j<i} (k_j + 1)``, the first component least significant, and lists
 every index set of the package as a set of positions: the box, the simplex,
-the live slots of a ``weil.Shape`` and its multiplication plan's rows.
+the live slots of a ``weil.Shape`` and its multiplication plan's rows. Every
+table built for a shape, here, in ``weil`` or in ``calculus``, is kept in
+``TABLES`` by ``keep``.
 Enumeration order is fixed so that tables and serialized output are
 reproducible byte for byte:
 
@@ -20,12 +22,31 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 from itertools import accumulate
 
-from .errors import WeiljetError
+from .errors import PAIR_BUDGET, SLOT_BUDGET, WeiljetError
 
 MultiIndex = tuple[int, ...]
+# The package's whole process state, oldest first: a key of tags, tuples and
+# ints (never a shape or an element) -> (table, weight), the weights summed in
+# ``_held``. A hit is a bare ``TABLES.get``, with no bookkeeping.
+TABLES: dict = {}
+_held = 0
+
+
+def keep(key, table, weight: int | None = None):
+    """Keep ``table`` at ``key``, weighed by the ints it holds (its length
+    unless given), and return it. The oldest tables go to make room within
+    PAIR_BUDGET + SLOT_BUDGET, the budgets of one request's plan and slots;
+    a heavier table is returned unkept."""
+    global _held
+    weight = len(table) if weight is None else weight
+    if weight <= PAIR_BUDGET + SLOT_BUDGET:
+        while _held + weight > PAIR_BUDGET + SLOT_BUDGET:
+            _held -= TABLES.pop(next(iter(TABLES)))[1]
+        TABLES[key] = table, weight
+        _held += weight
+    return table
 
 
 class ArityMismatchError(WeiljetError):
@@ -73,9 +94,8 @@ class Layout:
     def __init__(self, orders: MultiIndex):
         radices = [k + 1 for k in orders]
         *strides, self.size = accumulate(radices, operator.mul, initial=1)
-        self.orders, self.strides = orders, tuple(strides)
+        self.strides = tuple(strides)
         self._radix = tuple(zip(strides, radices))
-        self._live = {}
 
     def decode(self, ps: list) -> list[MultiIndex]:
         """The alpha at each position of ps, in order: one column of digits
@@ -122,16 +142,16 @@ class Layout:
 
         return positions
 
-    def live(self, cap: int) -> tuple[list, dict]:
-        """The live-slot table of a cap: the ascending positions of
-        {alpha <= orders, |alpha| <= cap} and their ranks, built once."""
-        if cap not in self._live:
-            ps = self.position_sets()(self.orders, cap)
-            self._live[cap] = ps, dict(zip(ps, range(len(ps))))
-        return self._live[cap]
+
+def live_slots(orders: MultiIndex, cap: int) -> dict:
+    """The live-slot table of a capped box: the rank of each position of
+    {alpha <= orders, |alpha| <= cap}, in ascending order."""
+    if hit := TABLES.get(key := ("live", orders, cap)):
+        return hit[0]
+    ps = layout(orders).position_sets()(orders, cap)
+    return keep(key, dict(zip(ps, range(len(ps)))))
 
 
-@lru_cache(maxsize=None)
 def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) -> int:
     """The size of {alpha <= orders, |alpha| <= cap} for a cap under |orders|,
     or with ``pairs`` the number of pairs (alpha, beta) whose sum lies in it,
@@ -143,6 +163,8 @@ def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) 
     at once as a lower bound, first the size of a rectangle in the set, so
     the lists, min(cap, |orders| - a) + 1 long, hold O(n sqrt(limit)) ints.
     """
+    if hit := TABLES.get(key := ("count", orders, cap, limit, pairs)):
+        return hit[0]
     *rest, a = sorted(orders)
     b, top = min(rest[-1], cap // 2), min(cap, sum(rest))
     count = (b + 1) * (min(a, cap - b) + 1)  # degrees <= b and <= cap - b in the two largest
@@ -160,25 +182,25 @@ def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) 
             ways = [s0[t + 1] - s0[lo] for t, lo in window]
         if (count := sum(ways)) > limit:
             return count
-    return sum(w * (m * (m + 1) // 2 if pairs else m) for t, w in enumerate(ways) for m in (min(a, cap - t) + 1,))
+    return keep(key, sum(w * (m * (m + 1) // 2 if pairs else m) for t, w in enumerate(ways) for m in (min(a, cap - t) + 1,)), 1)
 
 
-@lru_cache(maxsize=None)
 def layout(orders: MultiIndex) -> Layout:
     """The one ``Layout`` of the box {alpha <= orders}."""
-    return Layout(orders)
+    hit = TABLES.get(("layout", orders))
+    return hit[0] if hit else keep(("layout", orders), Layout(orders), 1)
 
 
-@lru_cache(maxsize=None)
 def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
     """All alpha <= k in colexicographic order (increasing position); length
     prod_i (k_i + 1).
 
     Arity 0 yields the single empty index.
     """
-    k = as_multiindex(k)
-    lay = layout(k)
-    return tuple(lay.decode(lay.position_sets()(k, sum(k))))
+    if hit := TABLES.get(key := ("box", k)):
+        return hit[0]
+    lay = layout(as_multiindex(k))
+    return keep(key, tuple(lay.decode(range(lay.size))))
 
 
 def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
@@ -186,15 +208,15 @@ def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
     return sum(map(operator.mul, alpha, layout(tuple(k)).strides))
 
 
-@lru_cache(maxsize=None)
 def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:
     """All alpha in N^n with |alpha| <= bound, graded by degree and
     lexicographically decreasing within each degree.
 
     Length is C(bound + n, n).
     """
+    if hit := TABLES.get(key := ("simplex", n, bound)):
+        return hit[0]
     orders = (bound,) * n
-    lay = layout(orders)
     # The indices are distinct, so the stable sort by degree keeps them
     # lexicographically decreasing within each degree.
-    return tuple(sorted(sorted(lay.decode(lay.position_sets()(orders, bound)), reverse=True), key=sum))
+    return keep(key, tuple(sorted(sorted(layout(orders).decode(live_slots(orders, bound)), reverse=True), key=sum)))

@@ -69,7 +69,12 @@ class SparsePoly(Value):
                 clean[alpha] = c
         return SparsePoly(arity, clean)
 
+    def _same_arity(self, other: "SparsePoly") -> None:
+        if self.arity != other.arity:
+            raise ValueError(f"polynomials of arities {self.arity} and {other.arity} do not combine")
+
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        self._same_arity(other)
         return _expand((self, other))
 
     def __neg__(self) -> "SparsePoly":
@@ -79,6 +84,7 @@ class SparsePoly(Value):
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        self._same_arity(other)
         terms: dict = {}
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
@@ -90,6 +96,8 @@ class SparsePoly(Value):
     def __pow__(self, exponent: int) -> "SparsePoly":
         """By square-and-multiply; p**0 is one (the 0^0 = 1 convention) and
         p**1 is p itself."""
+        if exponent < 0:
+            raise ValueError("a polynomial has no negative powers")
         out = None
         square = self
         while exponent > 0:

@@ -19,7 +19,7 @@ after every operation. The ring operations thus run on ints only, each value
 has one form, and every identity the package checks is an exact equality,
 never an approximation. Slots follow the mixed-radix layout of
 ``multiindex.layout(orders)``: a box holds every position, and a capped
-shape only the live ones, through the layout's live-slot table, so
+shape only the live ones, through its ``multiindex.live_slots`` table, so
 ``Shape.simplex(n, N)`` holds C(N+n, n) slots, not (N+1)^n. The public views
 stay dense: ``Shape.size``/``index``/``box``, ``WeilElement(shape, coeffs)``,
 ``coeffs`` and ``nums`` span the whole layout, zero above a cap; ``coeffs``,
@@ -32,6 +32,7 @@ for each p only the q that pair with it; a capped plan also lists each
 product's slot. Division a / b is ``b.invert(a)``: one triangular solve of
 b * y = a over that plan in layout order, fraction-free over |b0|^(L+1) (b0
 the constant term, L the nilpotency bound); a constant b only scales a.
+The plan, like the layout and live-slot table, is kept in ``multiindex.TABLES``.
 
 A shape is held to ``SLOT_BUDGET`` live monomials and its plan to
 ``PAIR_BUDGET`` pairs, each counted before anything is built; a dense view is
@@ -49,12 +50,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, lcm, prod
 
 from . import multiindex
 from .errors import COEFF_BIT_BUDGET, PAIR_BUDGET, SLOT_BUDGET, BudgetError, WeiljetError
-from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout
+from .multiindex import MultiIndex, as_multiindex, enumerate_box, layout, live_slots
 from .value import Value, setfield
 
 Rational = Fraction
@@ -137,12 +137,11 @@ class Shape(Value):
 
     def _positions(self):
         """The dense position of each slot of an element, in layout order."""
-        lay = layout(self.orders)
-        return range(lay.size) if self.degree is None else lay.live(self.degree)[0]
+        return range(self.size()) if self.degree is None else live_slots(self.orders, self.degree)
 
     def _slot(self, p: int) -> int:
         """The slot of an element that holds the live monomial at position p."""
-        return p if self.degree is None else layout(self.orders).live(self.degree)[1][p]
+        return p if self.degree is None else live_slots(self.orders, self.degree)[p]
 
     def plan_pairs(self) -> int:
         """The pairs of live monomials with a live product, counted without
@@ -176,8 +175,17 @@ class Shape(Value):
         return box if self.degree is None else f"{box} deg<={self.degree}"
 
 
-@lru_cache(maxsize=None)
 def _mul_plan(orders: MultiIndex, degree: int | None = None):
+    """``_plan_rows(orders, degree)``, kept in ``multiindex.TABLES`` and
+    weighed by its pairs. Every product and solve looks its plan up here, so
+    the rows are built apart: their closures would make cells on each call."""
+    if hit := multiindex.TABLES.get(key := ("plan", orders, degree)):
+        return hit[0]
+    pairs = Shape(orders, degree).plan_pairs()
+    return multiindex.keep(key, _plan_rows(orders, degree), pairs)
+
+
+def _plan_rows(orders: MultiIndex, degree: int | None) -> tuple:
     """For each live position p, the pair (p, qs) listing the positions q
     with slot[p] + slot[q] live. Their product lands at p + q, because
     idx(alpha + beta) = idx(alpha) + idx(beta) while the sum stays in the
@@ -187,7 +195,6 @@ def _mul_plan(orders: MultiIndex, degree: int | None = None):
     O(pairs). A capped shape's rows are over element slots, from the same
     pass: (i, js, ts), js the slots of the qs and ts of their products.
     """
-    Shape(orders, degree).plan_pairs()
     lay = layout(orders)
     positions = lay.position_sets(shared=degree is None)
     cap = sum(orders) if degree is None else degree
@@ -199,7 +206,7 @@ def _mul_plan(orders: MultiIndex, degree: int | None = None):
     ]
     if degree is None:
         return tuple(rows)
-    rank, slots = lay.live(cap)[1], {}  # id of a shared position set -> its slots
+    rank, slots = live_slots(orders, cap), {}  # id of a shared position set -> its slots
     for i, (p, qs) in enumerate(rows):
         js = slots.get(id(qs)) or slots.setdefault(id(qs), [rank[q] for q in qs])
         rows[i] = (i, js, [rank[p + q] for q in qs])

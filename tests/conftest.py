@@ -20,3 +20,14 @@ def within():
         assert elapsed < seconds or sys.gettrace() is not None, f"took {elapsed:.2f} s, over {seconds} s"
 
     return bound
+
+
+@pytest.fixture
+def no_tables():
+    """``multiindex.TABLES`` emptied, so that the test builds every table it
+    asks for; what it builds stays kept after it."""
+    from weiljet import multiindex
+
+    multiindex.TABLES.clear()
+    multiindex._held = 0
+    return multiindex.TABLES

@@ -68,6 +68,30 @@ def test_an_argument_out_of_range_is_refused():
         finite_difference(parse("x0"), 1, (1.0,))
 
 
+def test_a_sum_of_polynomials_of_different_arities_is_refused():
+    # It mixed exponent tuples of lengths 1 and 2 in one polynomial.
+    a, b = SparsePoly.make(1, {(1,): 1}), SparsePoly.make(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="arities 1 and 2 do not combine"):
+        a + b
+    with pytest.raises(ValueError, match="arities 2 and 1 do not combine"):
+        b - a
+
+
+def test_a_product_of_polynomials_of_different_arities_is_refused():
+    # x0 * (x0 x1) came out as x0^2 at arity 1: x1 was dropped.
+    a, b = SparsePoly.make(1, {(1,): 1}), SparsePoly.make(2, {(1, 1): 1})
+    with pytest.raises(ValueError, match="arities 1 and 2 do not combine"):
+        a * b
+
+
+def test_a_negative_power_of_a_polynomial_is_refused():
+    # (2 x0) ** -1 came out as the constant 1.
+    p = SparsePoly.make(1, {(1,): 2})
+    with pytest.raises(ValueError, match="no negative powers"):
+        p ** -1
+    assert p**0 == SparsePoly.make(1, {(0,): 1}) and p**2 == SparsePoly.make(1, {(2,): 4})
+
+
 def test_oracle_mixed_examples():
     assert oracle_mixed(parse("x0^2*x1"), (2, 1), (1, 2)) == 2
     assert oracle_mixed(parse("x0^2*x1"), (0, 0), (3, 2)) == 18

@@ -483,12 +483,12 @@ def test_shapes_over_the_slot_budget_are_refused_before_allocating():
     assert peak < 1 << 20
 
 
-def test_a_box_plan_holds_one_int_per_position():
+def test_a_box_plan_holds_one_int_per_position(no_tables):
     # Each entry q + b * s of a set in two or more coordinates was its own
     # int: the (60, 60) plan held 124 MB, with 3,085,325 distinct ints.
     tracemalloc.start()
     try:
-        plan = _mul_plan.__wrapped__((60, 60))
+        plan = _mul_plan((60, 60))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
