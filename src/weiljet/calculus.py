@@ -230,7 +230,7 @@ def _readout_plan(mode: str, orders: MultiIndex, shape: Shape) -> tuple:
     if hit := multiindex.TABLES.get(key := ("readout", mode, orders, shape.orders, shape.degree)):
         return hit[0]
     alphas = _INDEX_SETS[mode](orders)
-    slots = map(shape._slot, map(shape.index, alphas))
+    slots = map(shape._slot, map(shape._position, alphas))
     return multiindex.keep(key, tuple(zip(alphas, slots, map(multiindex.factorial, alphas))))
 
 

@@ -13,7 +13,8 @@ SLOT_BUDGET = 2**21
 # and +71 MB max RSS for ``(1,) * 14`` (4,782,969 pairs), 0.26 s and +29 MB
 # for ``(60, 60)``, and 0.54 s and +63 MB for ``Shape.simplex(9, 9)``. With
 # SLOT_BUDGET it also bounds the ints of the tables a process keeps
-# (``multiindex.keep``).
+# (``multiindex.keep``). Traced, a kept live slot takes about 40 bytes and a
+# plan pair 8-13, so at most about 10.5 M x 40 B, some 420 MB, stay kept.
 PAIR_BUDGET = 2**23
 # Bits of the numerators and denominator ``**`` may square, over jets or
 # rationals, and that a division's numerators may reach once scaled. A

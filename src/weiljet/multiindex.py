@@ -6,10 +6,11 @@ and the simplex {|alpha| <= N}).
 A multi-index is a plain tuple of naturals. ``Layout`` places the box
 {alpha <= k} at the mixed-radix positions ``idx(alpha) = sum_i alpha_i *
 prod_{j<i} (k_j + 1)``, the first component least significant, and lists
-every index set of the package as a set of positions: the box, the simplex,
-the live slots of a ``weil.Shape`` and its multiplication plan's rows. Every
-table built for a shape, here, in ``weil`` or in ``calculus``, is kept in
-``TABLES`` by ``keep``.
+every index set of the package as ascending positions: the box, the
+simplex, the live slots of a ``weil.Shape`` and its multiplication plan's
+rows. A ``weil.Shape`` holds its layout and reads positions off its strides.
+Every table built for a shape, here, in ``weil`` or in ``calculus``, is kept
+in ``TABLES`` by ``keep``.
 Enumeration order is fixed so that tables and serialized output are
 reproducible byte for byte:
 
@@ -38,7 +39,9 @@ def keep(key, table, weight: int | None = None):
     """Keep ``table`` at ``key``, weighed by the ints it holds (its length
     unless given), and return it. The oldest tables go to make room within
     PAIR_BUDGET + SLOT_BUDGET, the budgets of one request's plan and slots;
-    a heavier table is returned unkept."""
+    a heavier table is returned unkept. Traced, a unit weighs about 40 bytes
+    in a live-slot list and 8-13 in a plan pair, so the kept tables take at
+    most about 10.5 M x 40 B, some 420 MB."""
     global _held
     weight = len(table) if weight is None else weight
     if weight <= PAIR_BUDGET + SLOT_BUDGET:
@@ -86,7 +89,7 @@ def leq(alpha: MultiIndex, beta: MultiIndex) -> bool:
 
 class Layout:
     """The mixed-radix layout of the box {alpha <= orders}: ``size`` slots,
-    alpha at ``sum_i alpha_i * strides[i]`` (``box_index``), sets of
+    alpha at ``sum_i alpha_i * strides[i]`` (``weil.Shape.index``), sets of
     positions listed by ``position_sets`` and read back, a list at a time, by
     ``decode``.
     """
@@ -143,13 +146,13 @@ class Layout:
         return positions
 
 
-def live_slots(orders: MultiIndex, cap: int) -> dict:
-    """The live-slot table of a capped box: the rank of each position of
-    {alpha <= orders, |alpha| <= cap}, in ascending order."""
+def live_slots(orders: MultiIndex, cap: int) -> list:
+    """The live slots of a capped box: the ascending positions of
+    {alpha <= orders, |alpha| <= cap}, a position's slot its rank here. The
+    ints stay Python ints, which a box past 2^63 positions needs."""
     if hit := TABLES.get(key := ("live", orders, cap)):
         return hit[0]
-    ps = layout(orders).position_sets()(orders, cap)
-    return keep(key, dict(zip(ps, range(len(ps)))))
+    return keep(key, layout(orders).position_sets()(orders, cap))
 
 
 def count_capped(orders: MultiIndex, cap: int, limit: int, pairs: bool = False) -> int:
@@ -201,11 +204,6 @@ def enumerate_box(k: MultiIndex) -> tuple[MultiIndex, ...]:
         return hit[0]
     lay = layout(as_multiindex(k))
     return keep(key, tuple(lay.decode(range(lay.size))))
-
-
-def box_index(k: MultiIndex, alpha: MultiIndex) -> int:
-    """Position of alpha in enumerate_box(k): the mixed-radix encoding."""
-    return sum(map(operator.mul, alpha, layout(tuple(k)).strides))
 
 
 def enumerate_simplex(n: int, bound: int) -> tuple[MultiIndex, ...]:

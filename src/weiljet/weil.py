@@ -17,9 +17,10 @@ Coefficients are exact rationals stored fraction-free: an element holds one
 denominator, kept in lowest terms (``gcd(den, *nums) == 1``) by one gcd sweep
 after every operation. The ring operations thus run on ints only, each value
 has one form, and every identity the package checks is an exact equality,
-never an approximation. Slots follow the mixed-radix layout of
-``multiindex.layout(orders)``: a box holds every position, and a capped
-shape only the live ones, through its ``multiindex.live_slots`` table, so
+never an approximation. Slots follow the mixed-radix layout
+``multiindex.layout(orders)``, which a shape holds: a box holds every
+position, and a capped shape only the live ones, in the ascending list of
+``multiindex.live_slots``, a position's slot its rank there, so
 ``Shape.simplex(n, N)`` holds C(N+n, n) slots, not (N+1)^n. The public views
 stay dense: ``Shape.size``/``index``/``box``, ``WeilElement(shape, coeffs)``,
 ``coeffs`` and ``nums`` span the whole layout, zero above a cap; ``coeffs``,
@@ -32,7 +33,7 @@ for each p only the q that pair with it; a capped plan also lists each
 product's slot. Division a / b is ``b.invert(a)``: one triangular solve of
 b * y = a over that plan in layout order, fraction-free over |b0|^(L+1) (b0
 the constant term, L the nilpotency bound); a constant b only scales a.
-The plan, like the layout and live-slot table, is kept in ``multiindex.TABLES``.
+The plan, like the layout and live-slot list, is kept in ``multiindex.TABLES``.
 
 A shape is held to ``SLOT_BUDGET`` live monomials and its plan to
 ``PAIR_BUDGET`` pairs, each counted before anything is built; a dense view is
@@ -49,6 +50,7 @@ structure rather than a change of carrier.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
@@ -98,9 +100,11 @@ class Shape(Value):
 
     The cap normalises: an order above it is lowered to it, and a cap of
     |k| or more drops nothing, so it becomes no cap. ``Shape(k)`` is the box.
+    A shape holds its ``multiindex.Layout`` outside its fields, so equality,
+    hash, repr and pickling read only the orders and the cap.
     """
 
-    __slots__ = ("orders", "degree", "_length")
+    __slots__ = ("orders", "degree", "_length", "_layout")
     __match_args__ = ("orders", "degree")
 
     def __init__(self, orders: MultiIndex, degree: int | None = None):
@@ -114,7 +118,8 @@ class Shape(Value):
                 degree = None
         setfield(self, "orders", orders)
         setfield(self, "degree", degree)
-        live = layout(orders).size if degree is None else multiindex.count_capped(orders, degree, SLOT_BUDGET)
+        setfield(self, "_layout", layout(orders))
+        live = self._layout.size if degree is None else multiindex.count_capped(orders, degree, SLOT_BUDGET)
         setfield(self, "_length", _within_budget(self, live, SLOT_BUDGET, "coefficient slots"))
 
     @classmethod
@@ -127,21 +132,29 @@ class Shape(Value):
         return len(self.orders)
 
     def box(self) -> tuple[MultiIndex, ...]:
-        """Every slot of the dense layout, live or not, in layout order."""
+        """Every multi-index of the dense layout, live or not, in layout
+        order: alpha at position ``index(alpha)``."""
         _within_budget(self, self.size(), SLOT_BUDGET, "slots in a dense view")
         return enumerate_box(self.orders)
 
     def monomials(self) -> tuple[MultiIndex, ...]:
-        """The live monomials (those under the cap), in layout order."""
-        return tuple(layout(self.orders).decode(self._positions()))
+        """The live monomials (those under the cap), in layout order: the
+        monomial of each slot of an element."""
+        return tuple(self._layout.decode(self._positions()))
 
     def _positions(self):
-        """The dense position of each slot of an element, in layout order."""
-        return range(self.size()) if self.degree is None else live_slots(self.orders, self.degree)
+        """The dense position of each slot of an element, ascending: every
+        position of a box, or a capped shape's ``live_slots`` list."""
+        return range(self._layout.size) if self.degree is None else live_slots(self.orders, self.degree)
 
     def _slot(self, p: int) -> int:
-        """The slot of an element that holds the live monomial at position p."""
-        return p if self.degree is None else live_slots(self.orders, self.degree)[p]
+        """The slot of an element that holds the live position p: its rank in
+        ``_positions()``, by bisection. p must be live."""
+        return p if self.degree is None else bisect_left(live_slots(self.orders, self.degree), p)
+
+    def _position(self, alpha: MultiIndex) -> int:
+        """``index(alpha)`` unchecked: sum_i alpha_i * strides[i]."""
+        return sum(map(operator.mul, alpha, self._layout.strides))
 
     def plan_pairs(self) -> int:
         """The pairs of live monomials with a live product, counted without
@@ -153,18 +166,28 @@ class Shape(Value):
         return _within_budget(self, pairs, PAIR_BUDGET, "product pairs")
 
     def contains(self, alpha: MultiIndex) -> bool:
-        """Whether d^alpha is a live monomial of this shape."""
+        """Whether d^alpha is a live monomial of this shape: alpha has its
+        arity, 0 <= alpha <= orders, and |alpha| is within the cap."""
         return (
             len(alpha) == len(self.orders)
-            and multiindex.leq(alpha, self.orders)
+            and all(0 <= a <= k for a, k in zip(alpha, self.orders))
             and (self.degree is None or sum(alpha) <= self.degree)
         )
 
     def size(self) -> int:
-        return layout(self.orders).size
+        """The positions of the dense layout, live or not: prod_i (k_i + 1)."""
+        return self._layout.size
 
     def index(self, alpha: MultiIndex) -> int:
-        return multiindex.box_index(self.orders, alpha)
+        """The position of alpha in the dense layout, ``box().index(alpha)``,
+        for any 0 <= alpha <= orders, above a cap too. A wrong length raises
+        ``ArityMismatchError``, an entry outside 0..k_i ``CoefficientIndexError``."""
+        alpha = tuple(alpha)
+        if len(alpha) != len(self.orders):
+            raise multiindex.ArityMismatchError(f"multi-index {alpha} has wrong length for shape {self}")
+        if not all(0 <= a <= k for a, k in zip(alpha, self.orders)):
+            raise CoefficientIndexError(f"index {alpha} outside the box of shape {self}")
+        return self._position(alpha)
 
     def nilpotency_bound(self) -> int:
         # Any element with zero constant term is killed by this power plus one.
@@ -206,7 +229,7 @@ def _plan_rows(orders: MultiIndex, degree: int | None) -> tuple:
     ]
     if degree is None:
         return tuple(rows)
-    rank, slots = live_slots(orders, cap), {}  # id of a shared position set -> its slots
+    rank, slots = dict(zip(ps, range(len(ps)))), {}  # id of a shared position set -> its slots
     for i, (p, qs) in enumerate(rows):
         js = slots.get(id(qs)) or slots.setdefault(id(qs), [rank[q] for q in qs])
         rows[i] = (i, js, [rank[p + q] for q in qs])
@@ -408,7 +431,7 @@ class WeilElement:
         alpha = as_multiindex(alpha)
         if not self._shape.contains(alpha):
             raise CoefficientIndexError(f"index {alpha} outside shape {self._shape}")
-        return Fraction(self._nums[self._shape._slot(self._shape.index(alpha))], self._den)
+        return Fraction(self._nums[self._shape._slot(self._shape._position(alpha))], self._den)
 
     def is_in_Dm(self, m: int) -> bool:
         """Whether the element is m-nilpotent: its (m+1)-th power vanishes."""
@@ -517,7 +540,7 @@ def seeded(shape: Shape, c, generators) -> WeilElement:
             raise multiindex.ArityMismatchError(f"generator index {t} out of range for shape {shape}")
         if shape.orders[t] == 0:
             raise DegenerateGeneratorError(f"generator d{t} is identically zero in shape {shape}")
-        nums[shape._slot(layout(shape.orders).strides[t])] += c.denominator
+        nums[shape._slot(shape._layout.strides[t])] += c.denominator
     return _raw(shape, tuple(nums), c.denominator)
 
 
@@ -531,7 +554,7 @@ def monomial(shape: Shape, alpha) -> WeilElement:
     if not shape.contains(alpha):
         return zero(shape)
     nums = [0] * shape._length
-    nums[shape._slot(shape.index(alpha))] = 1
+    nums[shape._slot(shape._position(alpha))] = 1
     return _raw(shape, tuple(nums), 1)
 
 
@@ -542,7 +565,7 @@ def from_coefficients(shape: Shape, entries) -> WeilElement:
         alpha = as_multiindex(alpha)
         if not shape.contains(alpha):
             raise CoefficientIndexError(f"index {alpha} outside shape {shape}")
-        coeffs[shape._slot(shape.index(alpha))] = Fraction(c)
+        coeffs[shape._slot(shape._position(alpha))] = Fraction(c)
     return _raw(shape, *_fraction_free(coeffs))
 
 

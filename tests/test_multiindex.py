@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from weiljet.multiindex import (
     ArityMismatchError,
     as_multiindex,
-    box_index,
     enumerate_box,
     enumerate_simplex,
     factorial,
     leq,
     norm,
 )
+from weiljet.weil import Shape
 
 
 def _divmod_box(k):
@@ -122,10 +122,10 @@ def test_enumerate_box_exhaustive_counts_and_uniqueness():
             assert box == _divmod_box(k)
 
 
-def test_box_index_matches_position():
+def test_shape_index_matches_box_position():
     for k in [(2, 1), (3,), (1, 1, 1), ()]:
         for pos, alpha in enumerate(enumerate_box(k)):
-            assert box_index(k, alpha) == pos
+            assert Shape(k).index(alpha) == pos
 
 
 def test_enumerate_simplex_examples():

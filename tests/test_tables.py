@@ -1,7 +1,9 @@
 """``multiindex.TABLES``, which keeps every table built for a shape: held to
 PAIR_BUDGET + SLOT_BUDGET ints, oldest first, and never rebuilt while kept."""
 
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 from weiljet import multiindex
@@ -100,3 +102,21 @@ def test_a_table_over_the_bound_is_returned_unkept_and_the_oldest_go_first(no_ta
         multiindex.layout((i,))
     assert list(no_tables) == [("layout", (i,)) for i in range(5, 15)]
     assert _held() == 10
+
+
+def test_a_kept_live_slot_list_takes_at_most_64_bytes_a_slot(no_tables):
+    # A live slot weighs 1 in the bound, so its bytes are what a unit of the
+    # bound costs: about 40 (a list pointer and an int), against 8-13 for a
+    # plan pair.
+    orders = (7,) * 7
+    multiindex.layout(orders)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        slots = multiindex.live_slots(orders, 7)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(slots, list) and len(slots) == 3432
+    assert held / len(slots) <= 64

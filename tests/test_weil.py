@@ -371,6 +371,47 @@ def test_monomials_are_the_live_slots_in_layout_order():
     assert positions == sorted(set(positions))
 
 
+@pytest.mark.parametrize(
+    "alpha, error",
+    [((1,), ArityMismatchError), ((1, 2, 3), ArityMismatchError), ((), ArityMismatchError),
+     ((5, 0), CoefficientIndexError), ((0, 3), CoefficientIndexError), ((-1, 1), CoefficientIndexError)],
+)
+def test_index_and_contains_refuse_a_multiindex_outside_the_box(alpha, error):
+    for shape in (Shape((2, 2)), Shape((2, 2), 2)):
+        with pytest.raises(error):
+            shape.index(alpha)
+        assert not shape.contains(alpha)
+    # Above a cap a position stays valid: the dense view spans it.
+    assert Shape((2, 2), 2).index((2, 2)) == 8
+
+
+@pytest.mark.parametrize("shape", [Shape((3, 2), 2), Shape.simplex(3, 2), Shape.simplex(4, 4)])
+def test_a_shape_ranks_its_live_positions_and_indexes_its_box(shape):
+    assert [shape._slot(p) for p in shape._positions()] == list(range(shape._length))
+    assert [shape.index(alpha) for alpha in shape.box()] == list(range(shape.size()))
+
+
+def test_a_shape_past_two_to_the_63_positions_keeps_exact_slots():
+    # Box positions of (1,) * 70 reach 2^69, past a machine word, so the
+    # live-slot list holds Python ints, not a fixed-width array.
+    s = Shape((1,) * 70, 1)
+    units = [tuple(int(i == j) for j in range(70)) for i in range(70)]
+    assert s._length == 71 and list(s._positions()) == [0] + [2**i for i in range(70)]
+    assert s.monomials() == ((0,) * 70, *units)
+    a = seeded(s, Fraction(1, 2), (0, 69))
+    b = seeded(s, 3, range(70))
+    assert a._nums == (1, 2) + (0,) * 68 + (2,) and a.den == 2
+    product = a * b  # (1/2 + d0 + d69)(3 + sum d_i), every square and cross term past the cap
+    assert product.coefficient((0,) * 70) == Fraction(3, 2)
+    assert [product.coefficient(u) for u in units] == [Fraction(7, 2)] + [Fraction(1, 2)] * 68 + [Fraction(7, 2)]
+    inverse = b.invert()
+    assert inverse * b == one(s)
+    assert inverse._nums == (3,) + (-1,) * 70 and inverse.den == 9
+    assert monomial(s, units[69])._nums == (0,) * 70 + (1,)
+    assert monomial(s, (1, 1) + (0,) * 68) == zero(s)
+    assert a.coefficient(units[69]) == 1 and a.coefficient(units[35]) == 0
+
+
 def test_capped_shape_respects_the_cap():
     s = Shape.simplex(2, 2)
     assert monomial(s, (1, 1)).coefficient((1, 1)) == 1
